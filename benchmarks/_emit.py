@@ -61,6 +61,19 @@ def write_bench_json(
     config: dict[str, object],
     metrics: dict[str, object],
 ) -> None:
-    """Write the envelope to ``path`` (trailing newline included)."""
+    """Write the envelope to ``path`` (trailing newline included).
+
+    A full-scale record is never replaced by a smaller run: when
+    ``path`` holds a record whose ``config.mode`` is ``"full"`` and
+    ``config`` does not, this raises ``ValueError`` and leaves the file
+    as it is.
+    """
+    if config.get("mode") != "full" and path.exists():
+        old = json.loads(path.read_text()).get("config", {})
+        if old.get("mode") == "full":
+            raise ValueError(
+                f"{path} holds a mode='full' record; refusing to overwrite "
+                f"it with a mode={config.get('mode')!r} run"
+            )
     payload = bench_payload(bench, config, metrics)
     path.write_text(json.dumps(payload, indent=2) + "\n")

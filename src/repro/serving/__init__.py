@@ -32,6 +32,7 @@ from repro.serving.cluster import (
     DecodePodSpec,
     PrefillPolicy,
     PrefillQueueStats,
+    SimulationIncomplete,
     disaggregated_cluster,
     gpu_only_cluster,
     simulate,
@@ -122,6 +123,7 @@ __all__ = [
     "RequestGenerator",
     "RequestTable",
     "Reservation",
+    "SimulationIncomplete",
     "SwapPolicy",
     "TrafficClass",
     "disaggregated_cluster",

@@ -142,6 +142,14 @@ from repro.specdec.fleet import SpecDecConfig
 from repro.util.stats import mean, percentile, sort_values
 from repro.util.tables import Table
 
+
+class SimulationIncomplete(RuntimeError):
+    """A run ended with work unaccounted for: the prefill service queue
+    did not drain, or some request never reached completed, rejected
+    or shed.  Raised instead of returning a report that silently lacks
+    those requests."""
+
+
 #: Decode-step latency is memoized on context quantized (floored) to this
 #: many tokens; floor-bucketing keeps the evaluated footprint within the
 #: scheduler's reservation.
@@ -2285,7 +2293,9 @@ class ClusterSim:
         blocked at every chained boundary), every running sequence is
         decoding with its first token already stamped, and no sequence
         finishes within the span.  A sequence *growing a KV block* stays
-        quiet as long as the block fits the free pool outright -- the
+        quiet as long as the block fits the free pool outright (growth
+        boundaries include the speculative draft-token headroom, as in
+        :meth:`ContinuousBatchScheduler._needs_block`) -- the
         growth is then pure ledger arithmetic, replayed with the exact
         float-operation order of :meth:`ContinuousBatchScheduler.advance`
         -- while a growth that would trigger a cache reclaim or a
@@ -2307,10 +2317,6 @@ class ClusterSim:
         single-step path.
         """
         scheduler = pod.scheduler
-        if scheduler.draft_tokens > 0:
-            # Speculative headroom skews the block-growth geometry the
-            # lane replays; keep specdec runs on the single-step path.
-            return False
         active = scheduler.active
         paged = scheduler.reservation is Reservation.PAGED
         block_tokens = scheduler.block_tokens
@@ -2338,10 +2344,11 @@ class ClusterSim:
         if bound <= now:
             return False  # another actor acts at this very timestamp
         # Growth schedule: a sequence needs a new block every
-        # ``block_tokens`` boundaries, starting when its context first
-        # overflows its held blocks.  Min-heap of (boundary index,
-        # batch position, entry) so simultaneous growths pop in
-        # ``active`` order -- the order ``advance`` grows them.
+        # ``block_tokens`` boundaries, starting when its context plus the
+        # speculative draft headroom first overflows its held blocks.
+        # Min-heap of (boundary index, batch position, entry) so
+        # simultaneous growths pop in ``active`` order -- the order
+        # ``advance`` grows them.
         gheap = None
         v = overhead = budget = 0.0
         if paged:
@@ -2350,6 +2357,7 @@ class ClusterSim:
                 first = (
                     (entry.shared_blocks + entry.blocks_held) * block_tokens
                     - entry.request.prompt_len - entry.tokens_done
+                    - scheduler.draft_tokens
                 )
                 if first < boundaries:
                     gheap.append((first, pos, entry))
@@ -2556,8 +2564,6 @@ class ClusterSim:
         nothing in a quiet span frees pod memory (growth only takes
         more)."""
         scheduler = pod.scheduler
-        if scheduler.draft_tokens > 0:
-            return None  # see the matching guard in _bulk_quiet_steps
         if not scheduler.would_admit_nothing():
             return None
         active = scheduler.active
@@ -2593,6 +2599,7 @@ class ClusterSim:
                 first = (
                     (entry.shared_blocks + entry.blocks_held) * block_tokens
                     - entry.request.prompt_len - entry.tokens_done
+                    - scheduler.draft_tokens
                 )
                 if first < boundaries:
                     gheap.append((first, pos, entry.bytes_per_block))
@@ -2953,7 +2960,16 @@ class ClusterSim:
             observe=self._observe_event if self._obs is not None else None,
         )
 
-        assert not self._queue, "prefill service queue did not drain"
+        if self._queue:
+            raise SimulationIncomplete(
+                f"prefill service queue did not drain: {len(self._queue)} "
+                "job(s) left at run end"
+            )
+        if self._unresolved != 0:
+            raise SimulationIncomplete(
+                f"{self._unresolved} request(s) never completed, were "
+                "rejected or were shed"
+            )
         obs = self._obs
         trace = timeline = None
         if obs is not None:

@@ -14,6 +14,7 @@ from repro.serving.cluster import (
     ClusterSim,
     DecodePodSpec,
     PrefillPolicy,
+    SimulationIncomplete,
     disaggregated_cluster,
     gpu_only_cluster,
     simulate,
@@ -1102,3 +1103,31 @@ class TestPrefillQueueReport:
         ]
         assert prefix_founders(requests) == {0, 3, 4}
         assert prefix_founders([]) == set()
+
+
+class TestRunEndInvariant:
+    def test_dropped_request_fails_loudly(self, monkeypatch):
+        """A request that never completes, is rejected or is shed must
+        raise at run end, not vanish from the report."""
+        requests = [
+            Request(i, 0.1 * i, LLAMA3_8B, 256, 32) for i in range(4)
+        ]
+        on_arrival = ClusterSim._on_arrival
+
+        def drop_first(self, now, record):
+            if record.request.request_id != 0:
+                on_arrival(self, now, record)
+
+        monkeypatch.setattr(ClusterSim, "_on_arrival", drop_first)
+        config = disaggregated_cluster(LLAMA3_8B)
+        with pytest.raises(SimulationIncomplete, match="1 request"):
+            simulate(config, requests)
+
+    def test_undrained_prefill_queue_fails_loudly(self, monkeypatch):
+        requests = [Request(0, 0.0, LLAMA3_8B, 256, 32)]
+        monkeypatch.setattr(
+            ClusterSim, "_drain_prefill_queue", lambda self, now: None
+        )
+        config = disaggregated_cluster(LLAMA3_8B)
+        with pytest.raises(SimulationIncomplete, match="did not drain"):
+            simulate(config, requests)
