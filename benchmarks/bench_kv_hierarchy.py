@@ -18,12 +18,20 @@ from repro.util.tables import Table
 JSON_PATH = Path(__file__).resolve().parent / "BENCH_kv_hierarchy.json"
 
 
+def _by_link(rows):
+    """Swap-crossover rows as one ``{swap policy value: row}`` per link."""
+    links = {}
+    for row in rows:
+        links.setdefault(row["host_link_gbps"], {})[row["swap_policy"].value] = row
+    return list(links.items())
+
+
 def build():
-    hit_points = prefix_hit_sweep(
-        LLAMA3_70B, share_probs=(0.0, 0.5, 0.9)
-    )
-    crossover = swap_crossover_sweep(
-        LLAMA3_70B, host_link_gbps=(100.0, 25.0, 6.0, 1.5)
+    rows = prefix_hit_sweep(LLAMA3_70B, share_probs=(0.0, 0.5, 0.9))
+    # (uncached, cached) pairs, one per sharing level.
+    hit_points = list(zip(rows[::2], rows[1::2]))
+    crossover = _by_link(
+        swap_crossover_sweep(LLAMA3_70B, host_link_gbps=(100.0, 25.0, 6.0, 1.5))
     )
     # The acceptance scenario: agentic fan-out at equal KV budget on a
     # prefill-bound fleet, identical traffic, caching off vs on.
@@ -50,12 +58,13 @@ def test_kv_hierarchy(benchmark):
         ["share prob", "hit rate", "goodput off->on", "TTFT p50 off->on",
          "tok/s off->on"],
     )
-    for p in hit_points:
+    for off, on in hit_points:
         hit_table.add_row([
-            f"{p.share_prob:.1f}", f"{p.hit_rate:.0%}",
-            f"{p.goodput_uncached:.0%} -> {p.goodput_cached:.0%}",
-            f"{p.ttft_p50_uncached_s:.2f} -> {p.ttft_p50_cached_s:.2f} s",
-            f"{p.tokens_per_s_uncached:,.0f} -> {p.tokens_per_s_cached:,.0f}",
+            f"{on['traffic.prefix_share_prob']:.1f}", f"{on['hit_rate']:.0%}",
+            f"{off['goodput']:.0%} -> {on['goodput']:.0%}",
+            f"{off['ttft_p50_s']:.2f} -> {on['ttft_p50_s']:.2f} s",
+            f"{off['arrival_window_tokens_per_s']:,.0f} -> "
+            f"{on['arrival_window_tokens_per_s']:,.0f}",
         ])
 
     swap_table = Table(
@@ -64,12 +73,12 @@ def test_kv_hierarchy(benchmark):
         ["host link", "swap cost", "recompute cost", "AUTO swap frac",
          "e2e p95 rec/swap/auto"],
     )
-    for p in crossover:
+    for gbps, p in crossover:
         swap_table.add_row([
-            f"{p.host_link_gbps:g} Gb/s", f"{p.swap_s:.2f} s",
-            f"{p.recompute_s:.2f} s", f"{p.auto_swap_fraction:.0%}",
-            f"{p.e2e_p95_recompute_s:.2f} / {p.e2e_p95_swap_s:.2f} / "
-            f"{p.e2e_p95_auto_s:.2f} s",
+            f"{gbps:g} Gb/s", f"{p['auto']['swap_s']:.2f} s",
+            f"{p['auto']['recompute_s']:.2f} s", f"{p['auto']['swap_fraction']:.0%}",
+            f"{p['never']['e2e_p95_s']:.2f} / {p['always']['e2e_p95_s']:.2f} / "
+            f"{p['auto']['e2e_p95_s']:.2f} s",
         ])
 
     scenario_table = Table(
@@ -87,15 +96,15 @@ def test_kv_hierarchy(benchmark):
 
     # -- acceptance: caching converts sharing into hit rate, TTFT and
     # goodput at equal KV budget --------------------------------------
-    by_share = {p.share_prob: p for p in hit_points}
+    by_share = {on["traffic.prefix_share_prob"]: (off, on) for off, on in hit_points}
     # simlint found the old exact `== 0.0` here; a hit rate is an
     # accumulated ratio, so assert "no hits" robustly instead.
-    assert math.isclose(by_share[0.0].hit_rate, 0.0, abs_tol=1e-12)
-    assert by_share[0.9].hit_rate > 0.3
-    assert by_share[0.9].ttft_p50_cached_s < by_share[0.9].ttft_p50_uncached_s
-    for p in hit_points:
-        assert p.completed_cached == p.completed_uncached
-        assert p.goodput_cached >= p.goodput_uncached
+    assert math.isclose(by_share[0.0][1]["hit_rate"], 0.0, abs_tol=1e-12)
+    assert by_share[0.9][1]["hit_rate"] > 0.3
+    assert by_share[0.9][1]["ttft_p50_s"] < by_share[0.9][0]["ttft_p50_s"]
+    for off, on in hit_points:
+        assert on["completed"] == off["completed"]
+        assert on["goodput"] >= off["goodput"]
     # The pressured agentic_fanout scenario: measurably higher goodput
     # AND lower TTFT with caching on.
     assert cached.goodput > uncached.goodput + 0.02
@@ -104,16 +113,20 @@ def test_kv_hierarchy(benchmark):
 
     # -- acceptance: the swap-vs-recompute crossover exists and AUTO
     # tracks the cheaper branch on both sides --------------------------
-    assert any(p.swap_wins for p in crossover)
-    assert any(not p.swap_wins for p in crossover)
-    for p in crossover:
-        assert p.preemptions > 0
-        if p.swap_wins:
-            assert p.auto_swap_fraction > 0.5
+    def swap_wins(auto):
+        return auto["swap_s"] < auto["recompute_s"]
+
+    assert any(swap_wins(p["auto"]) for _, p in crossover)
+    assert any(not swap_wins(p["auto"]) for _, p in crossover)
+    for _, p in crossover:
+        auto = p["auto"]
+        assert auto["preemptions"] > 0
+        if swap_wins(auto):
+            assert auto["swap_fraction"] > 0.5
         else:
-            assert p.auto_swap_fraction < 0.5
+            assert auto["swap_fraction"] < 0.5
             # AUTO must not pay the slow-link swap penalty.
-            assert p.e2e_p95_auto_s <= p.e2e_p95_swap_s + 1e-9
+            assert auto["e2e_p95_s"] <= p["always"]["e2e_p95_s"] + 1e-9
 
     write_bench_json(
         JSON_PATH,
@@ -127,28 +140,28 @@ def test_kv_hierarchy(benchmark):
         metrics={
             "prefix_hit_sweep": [
                 {
-                    "share_prob": p.share_prob,
-                    "hit_rate": p.hit_rate,
-                    "goodput_uncached": p.goodput_uncached,
-                    "goodput_cached": p.goodput_cached,
-                    "ttft_p50_uncached_s": p.ttft_p50_uncached_s,
-                    "ttft_p50_cached_s": p.ttft_p50_cached_s,
-                    "tokens_per_s_uncached": p.tokens_per_s_uncached,
-                    "tokens_per_s_cached": p.tokens_per_s_cached,
+                    "share_prob": on["traffic.prefix_share_prob"],
+                    "hit_rate": on["hit_rate"],
+                    "goodput_uncached": off["goodput"],
+                    "goodput_cached": on["goodput"],
+                    "ttft_p50_uncached_s": off["ttft_p50_s"],
+                    "ttft_p50_cached_s": on["ttft_p50_s"],
+                    "tokens_per_s_uncached": off["arrival_window_tokens_per_s"],
+                    "tokens_per_s_cached": on["arrival_window_tokens_per_s"],
                 }
-                for p in hit_points
+                for off, on in hit_points
             ],
             "swap_crossover": [
                 {
-                    "host_link_gbps": p.host_link_gbps,
-                    "swap_s": p.swap_s,
-                    "recompute_s": p.recompute_s,
-                    "auto_swap_fraction": p.auto_swap_fraction,
-                    "e2e_p95_recompute_s": p.e2e_p95_recompute_s,
-                    "e2e_p95_swap_s": p.e2e_p95_swap_s,
-                    "e2e_p95_auto_s": p.e2e_p95_auto_s,
+                    "host_link_gbps": gbps,
+                    "swap_s": p["auto"]["swap_s"],
+                    "recompute_s": p["auto"]["recompute_s"],
+                    "auto_swap_fraction": p["auto"]["swap_fraction"],
+                    "e2e_p95_recompute_s": p["never"]["e2e_p95_s"],
+                    "e2e_p95_swap_s": p["always"]["e2e_p95_s"],
+                    "e2e_p95_auto_s": p["auto"]["e2e_p95_s"],
                 }
-                for p in crossover
+                for gbps, p in crossover
             ],
             # Full reports via ClusterReport.to_json() instead of
             # hand-rolled metric dicts.

@@ -33,24 +33,24 @@ def test_paged_kv(benchmark):
     )
     for p in points:
         table.add_row([
-            f"{p.kv_budget_gb:.0f} GB", p.reservation.value,
-            f"{p.goodput:.0%}", f"{p.tokens_per_s:,.0f}",
-            f"{p.mean_decode_kv_occupancy:.0%}", p.preemptions, p.completed,
+            f"{p['kv_budget_gb']:.0f} GB", p["reservation"].value,
+            f"{p['goodput']:.0%}", f"{p['tokens_per_s']:,.0f}",
+            f"{p['mean_decode_kv_occupancy']:.0%}", p["preemptions"], p["completed"],
         ])
     emit(table)
 
-    full = {p.kv_budget_gb: p for p in points
-            if p.reservation is Reservation.FULL}
-    paged = {p.kv_budget_gb: p for p in points
-             if p.reservation is Reservation.PAGED}
+    full = {p["kv_budget_gb"]: p for p in points
+            if p["reservation"] is Reservation.FULL}
+    paged = {p["kv_budget_gb"]: p for p in points
+             if p["reservation"] is Reservation.PAGED}
     for budget, f in full.items():
         p = paged[budget]
         # The acceptance claim: at equal KV budget on the reasoning mix,
         # paged reservation never loses goodput and strictly wins decode
         # throughput (deeper batches from un-stranding the KV pool).
-        assert p.goodput >= f.goodput
-        assert p.tokens_per_s > f.tokens_per_s
-        assert p.completed == f.completed
+        assert p["goodput"] >= f["goodput"]
+        assert p["tokens_per_s"] > f["tokens_per_s"]
+        assert p["completed"] == f["completed"]
     # The win comes from occupancy, not magic: where FULL is
     # admission-starved (tightest budget), paged lifts goodput sharply.
-    assert paged[3.0].goodput - full[3.0].goodput > 0.2
+    assert paged[3.0]["goodput"] - full[3.0]["goodput"] > 0.2

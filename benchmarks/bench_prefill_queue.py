@@ -24,9 +24,17 @@ from repro.util.tables import Table
 JSON_PATH = Path(__file__).resolve().parent / "BENCH_prefill_queue.json"
 
 
+def _with_baseline(rows):
+    """Late-bound rows, each paired with its rate's arrival-bound row."""
+    arrival = {r["traffic.rate_rps"]: r for r in rows if r["binding"] == "arrival"}
+    return [
+        (r, arrival[r["traffic.rate_rps"]]) for r in rows if r["binding"] != "arrival"
+    ]
+
+
 def build():
-    points = prefill_policy_sweep(
-        LLAMA3_70B, rates_rps=(2.0, 6.0, 10.0), duration_s=15.0
+    points = _with_baseline(
+        prefill_policy_sweep(LLAMA3_70B, rates_rps=(2.0, 6.0, 10.0), duration_s=15.0)
     )
     # The acceptance scenario: the agentic_fanout preset on a
     # deliberately prefill-bound fleet (1 GPU prefill pod) at equal KV
@@ -55,14 +63,14 @@ def test_prefill_queue(benchmark):
         ["rate", "policy", "hit rate arr->late", "late tok",
          "sibling TTFT arr->late", "queue depth"],
     )
-    for p in points:
+    for p, a in points:
         policy_table.add_row([
-            f"{p.rate_rps:g} rps", p.policy.value,
-            f"{p.hit_rate_arrival:.0%} -> {p.hit_rate:.0%}",
-            f"{p.late_hit_tokens:,}",
-            f"{p.sibling_ttft_mean_arrival_s:.2f} -> "
-            f"{p.sibling_ttft_mean_s:.2f} s",
-            f"{p.queue_mean_depth:.1f} / {p.queue_peak_depth}",
+            f"{p['traffic.rate_rps']:g} rps", p["binding"],
+            f"{a['hit_rate']:.0%} -> {p['hit_rate']:.0%}",
+            f"{p['late_hit_tokens']:,}",
+            f"{a['sibling_ttft_mean_s']:.2f} -> "
+            f"{p['sibling_ttft_mean_s']:.2f} s",
+            f"{p['queue_mean_depth']:.1f} / {p['queue_peak_depth']}",
         ])
 
     founders = prefix_founders(requests)
@@ -83,31 +91,28 @@ def test_prefill_queue(benchmark):
     emit(policy_table, scenario_table)
 
     # -- acceptance: late binding recovers hits under saturation -------
-    saturated = [p for p in points if p.rate_rps == max(
-        q.rate_rps for q in points
-    )]
-    for p in saturated:
-        assert p.completed > 0
-        assert p.hit_rate > p.hit_rate_arrival          # strictly higher
-        assert p.late_hit_tokens > 0                    # recovered, not luck
-        assert p.sibling_ttft_mean_s < p.sibling_ttft_mean_arrival_s
+    rates = [p["traffic.rate_rps"] for p, _ in points]
+    saturated = [(p, a) for p, a in points if p["traffic.rate_rps"] == max(rates)]
+    for p, a in saturated:
+        assert p["completed"] > 0
+        assert p["hit_rate"] > a["hit_rate"]            # strictly higher
+        assert p["late_hit_tokens"] > 0                 # recovered, not luck
+        assert p["sibling_ttft_mean_s"] < a["sibling_ttft_mean_s"]
     # At low load the queue is empty, so both bindings see the cache in
     # the same state -- the win comes from saturation, not a constant
     # offset.
-    unsaturated = [p for p in points if p.rate_rps == min(
-        q.rate_rps for q in points
-    )]
+    unsaturated = [(p, a) for p, a in points if p["traffic.rate_rps"] == min(rates)]
     assert all(
-        p.hit_rate - p.hit_rate_arrival
-        < min(q.hit_rate - q.hit_rate_arrival for q in saturated)
-        for p in unsaturated
+        p["hit_rate"] - a["hit_rate"]
+        < min(q["hit_rate"] - b["hit_rate"] for q, b in saturated)
+        for p, a in unsaturated
     )
     # PREFIX_AFFINE defers siblings into hits: it must recover at least
     # as many hit tokens as plain late-bound FIFO at saturation.
-    by_policy = {p.policy: p for p in saturated}
+    by_policy = {PrefillPolicy(p["binding"]): p for p, _ in saturated}
     assert (
-        by_policy[PrefillPolicy.PREFIX_AFFINE].hit_rate
-        >= by_policy[PrefillPolicy.FIFO].hit_rate
+        by_policy[PrefillPolicy.PREFIX_AFFINE]["hit_rate"]
+        >= by_policy[PrefillPolicy.FIFO]["hit_rate"]
     )
 
     # -- acceptance: the agentic_fanout preset itself (equal KV budget,
@@ -132,21 +137,20 @@ def test_prefill_queue(benchmark):
         metrics={
             "policy_sweep": [
                 {
-                    "rate_rps": p.rate_rps,
-                    "policy": p.policy.value,
-                    "hit_rate": p.hit_rate,
-                    "hit_rate_arrival": p.hit_rate_arrival,
-                    "late_hit_tokens": p.late_hit_tokens,
-                    "goodput": p.goodput,
-                    "ttft_p50_s": p.ttft_p50_s,
-                    "ttft_p50_arrival_s": p.ttft_p50_arrival_s,
-                    "sibling_ttft_mean_s": p.sibling_ttft_mean_s,
-                    "sibling_ttft_mean_arrival_s":
-                        p.sibling_ttft_mean_arrival_s,
-                    "queue_mean_depth": p.queue_mean_depth,
-                    "queue_peak_depth": p.queue_peak_depth,
+                    "rate_rps": p["traffic.rate_rps"],
+                    "policy": p["binding"],
+                    "hit_rate": p["hit_rate"],
+                    "hit_rate_arrival": a["hit_rate"],
+                    "late_hit_tokens": p["late_hit_tokens"],
+                    "goodput": p["goodput"],
+                    "ttft_p50_s": p["ttft_p50_s"],
+                    "ttft_p50_arrival_s": a["ttft_p50_s"],
+                    "sibling_ttft_mean_s": p["sibling_ttft_mean_s"],
+                    "sibling_ttft_mean_arrival_s": a["sibling_ttft_mean_s"],
+                    "queue_mean_depth": p["queue_mean_depth"],
+                    "queue_peak_depth": p["queue_peak_depth"],
                 }
-                for p in points
+                for p, a in points
             ],
             # Full reports via ClusterReport.to_json(); only the
             # founder-relative sibling TTFT needs computing out-of-band.

@@ -28,7 +28,9 @@ def build():
 
 
 def test_sec10_cluster(benchmark):
-    curve, scaling, versus = benchmark.pedantic(build, rounds=1, iterations=1)
+    curve, scaling, (gpu_only, disaggregated) = benchmark.pedantic(
+        build, rounds=1, iterations=1
+    )
 
     load = Table(
         "Throughput-latency: Llama3-70B reasoning traffic, 2 RPU decode pods",
@@ -36,9 +38,9 @@ def test_sec10_cluster(benchmark):
     )
     for p in curve:
         load.add_row([
-            p.rate_rps, f"{p.tokens_per_s:,.0f}", f"{p.goodput:.0%}",
-            f"{p.ttft_p50_s:.2f}", f"{p.ttft_p99_s:.2f}",
-            f"{p.mean_queueing_delay_s:.3f}",
+            p["traffic.rate_rps"], f"{p['tokens_per_s']:,.0f}", f"{p['goodput']:.0%}",
+            f"{p['ttft_p50_s']:.2f}", f"{p['ttft_p99_s']:.2f}",
+            f"{p['mean_queueing_delay_s']:.3f}",
         ])
 
     pods = Table(
@@ -47,35 +49,31 @@ def test_sec10_cluster(benchmark):
     )
     for p in scaling:
         pods.add_row([
-            p.num_decode_pods, f"{p.tokens_per_s:,.0f}",
-            f"{p.goodput:.0%}", f"{p.mean_decode_utilization:.0%}",
+            p["num_decode_pods"], f"{p['tokens_per_s']:,.0f}",
+            f"{p['goodput']:.0%}", f"{p['mean_decode_utilization']:.0%}",
         ])
 
     iso = Table(
-        f"ISO-power decode pools ({versus.decode_pod_tdp_w:.0f} W/pod): "
-        f"2xH100 vs RPU-{versus.rpu_cus_per_pod}CU",
+        f"ISO-power decode pools ({gpu_only['decode_pod_tdp_w']:.0f} W/pod): "
+        f"2xH100 vs RPU-{disaggregated['decode_pod_cus']}CU",
         ["fleet", "goodput", "tok/s", "TTFT p50 (s)", "energy/token (J)"],
     )
-    for name, report in (
-        ("GPU-only", versus.gpu_only),
-        ("disaggregated", versus.disaggregated),
-    ):
+    for name, row in (("GPU-only", gpu_only), ("disaggregated", disaggregated)):
         iso.add_row([
-            name, f"{report.goodput:.0%}", f"{report.tokens_per_s:,.0f}",
-            f"{report.ttft_percentile(50):.2f}",
-            f"{report.energy_per_token_j:.2f}",
+            name, f"{row['goodput']:.0%}", f"{row['tokens_per_s']:,.0f}",
+            f"{row['ttft_p50_s']:.2f}", f"{row['energy_per_token_j']:.2f}",
         ])
     emit(load, pods, iso)
 
     # Delivered throughput grows with offered load and with pool size.
     # (simlint: the saturation filter used exact `goodput == 1.0`; use a
     # closeness test so a single SLO near-miss can't silently skip it.)
-    assert all(b.tokens_per_s >= a.tokens_per_s * 0.99
+    assert all(b["tokens_per_s"] >= a["tokens_per_s"] * 0.99
                for a, b in zip(curve, curve[1:])
-               if math.isclose(a.goodput, 1.0))
-    assert all(b.tokens_per_s >= a.tokens_per_s * 0.99
+               if math.isclose(a["goodput"], 1.0))
+    assert all(b["tokens_per_s"] >= a["tokens_per_s"] * 0.99
                for a, b in zip(scaling, scaling[1:]))
     # The Section I claim at fleet scale: at equal decode power the
     # disaggregated fleet answers reasoning queries interactively.
-    assert versus.disaggregated.goodput >= versus.gpu_only.goodput
-    assert versus.disaggregated.goodput > 0.9
+    assert disaggregated["goodput"] >= gpu_only["goodput"]
+    assert disaggregated["goodput"] > 0.9

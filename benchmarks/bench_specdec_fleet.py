@@ -21,10 +21,10 @@ from pathlib import Path
 from conftest import emit
 
 from _emit import write_bench_json
-from repro.analysis.cluster_sweep import specdec_acceptance_sweep
+from repro.analysis.cluster_sweep import effective_decode_rate, specdec_acceptance_sweep
 from repro.api import scenario
 from repro.models.llama3 import LLAMA3_70B
-from repro.serving.cluster import ClusterReport, simulate
+from repro.serving.cluster import simulate
 from repro.serving.engine import report_digest
 from repro.specdec import SpecDecConfig
 from repro.util.tables import Table
@@ -38,16 +38,6 @@ ENGINE_TESTS = (
 #: The acceptance bar: goodput-weighted effective decode throughput
 #: with specdec on over off, same arrivals, equal KV budget.
 MIN_SPEEDUP = 1.5
-
-
-def _effective_decode_rate(report: ClusterReport) -> float:
-    """Goodput-weighted decode tokens per decode-pod busy second --
-    the rate speculation lifts even when wall-clock throughput is
-    arrival-bound."""
-    busy = sum(p.busy_s for p in report.pod_stats if p.kind == "decode")
-    if busy <= 0.0:
-        return 0.0
-    return report.goodput * report.decode_tokens / busy
 
 
 def _load_engine_pins():
@@ -83,8 +73,8 @@ def test_specdec_fleet(benchmark):
     off, on, sweep, pinned, recomputed = benchmark.pedantic(
         build, rounds=1, iterations=1
     )
-    off_rate = _effective_decode_rate(off)
-    on_rate = _effective_decode_rate(on)
+    off_rate = effective_decode_rate(off)
+    on_rate = effective_decode_rate(on)
     speedup = on_rate / off_rate
 
     preset_table = Table(
@@ -107,12 +97,12 @@ def test_specdec_fleet(benchmark):
         ["accepted/window", "eff decode tok/s", "speedup", "J/token"],
     )
     for p in sweep:
-        label = "off" if p.lookahead == 0 else f"{p.accepted_per_window:.1f}"
+        label = "off" if p["lookahead"] == 0 else f"{p['accepted_per_window']:.1f}"
         sweep_table.add_row([
             label,
-            f"{p.effective_decode_tokens_per_s:,.0f}",
-            f"{p.speedup:.2f}x",
-            f"{p.energy_per_token_j:.2f}",
+            f"{p['effective_decode_tokens_per_s']:,.0f}",
+            f"{p['speedup']:.2f}x",
+            f"{p['energy_per_token_j']:.2f}",
         ])
     emit(preset_table, sweep_table)
 
@@ -125,10 +115,10 @@ def test_specdec_fleet(benchmark):
     )
     # The sweep brackets the operating point: negligible lift at low
     # acceptance, monotone-increasing effective rate above it.
-    rates = [p.effective_decode_tokens_per_s for p in sweep]
+    rates = [p["effective_decode_tokens_per_s"] for p in sweep]
     assert rates[-1] > rates[1]
-    by_accept = {p.accepted_per_window: p for p in sweep}
-    assert by_accept[6.0].speedup > by_accept[2.0].speedup
+    by_accept = {p["accepted_per_window"]: p for p in sweep}
+    assert by_accept[6.0]["speedup"] > by_accept[2.0]["speedup"]
 
     # -- acceptance: specdec off is bit-identical to the pinned baseline
     for name, digest in recomputed.items():
@@ -156,14 +146,15 @@ def test_specdec_fleet(benchmark):
             },
             "acceptance_sweep": [
                 {
-                    "accepted_per_window": p.accepted_per_window,
-                    "lookahead": p.lookahead,
-                    "effective_decode_tokens_per_s": (
-                        p.effective_decode_tokens_per_s
-                    ),
-                    "speedup": p.speedup,
-                    "energy_per_token_j": p.energy_per_token_j,
-                    "completed": p.completed,
+                    key: p[key]
+                    for key in (
+                        "accepted_per_window",
+                        "lookahead",
+                        "effective_decode_tokens_per_s",
+                        "speedup",
+                        "energy_per_token_j",
+                        "completed",
+                    )
                 }
                 for p in sweep
             ],

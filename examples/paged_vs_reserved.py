@@ -47,10 +47,10 @@ def main() -> None:
     print("Sweep across KV budgets (same traffic):")
     for p in reservation_sweep(LLAMA3_70B, kv_budgets_gb=(3.0, 4.0, 6.0)):
         print(
-            f"  {p.kv_budget_gb:4.0f} GB {p.reservation.value:5s}  "
-            f"goodput {p.goodput:5.0%}  {p.tokens_per_s:6,.0f} tok/s  "
-            f"occupancy {p.mean_decode_kv_occupancy:4.0%}  "
-            f"preemptions {p.preemptions}"
+            f"  {p['kv_budget_gb']:4.0f} GB {p['reservation'].value:5s}  "
+            f"goodput {p['goodput']:5.0%}  {p['tokens_per_s']:6,.0f} tok/s  "
+            f"occupancy {p['mean_decode_kv_occupancy']:4.0%}  "
+            f"preemptions {p['preemptions']}"
         )
 
 

@@ -18,6 +18,7 @@ Run:  python examples/prefix_caching.py
 from repro.api import PodGroup, agentic_fanout
 from repro.analysis.cluster_sweep import swap_crossover_sweep
 from repro.models import LLAMA3_70B
+from repro.serving import SwapPolicy
 
 KV_BUDGET_GB = 2.0
 
@@ -51,12 +52,14 @@ def main() -> None:
     for p in swap_crossover_sweep(
         LLAMA3_70B, host_link_gbps=(100.0, 25.0, 6.0, 1.5)
     ):
-        winner = "swap" if p.swap_wins else "recompute"
+        if p["swap_policy"] is not SwapPolicy.AUTO:
+            continue
+        winner = "swap" if p["swap_s"] < p["recompute_s"] else "recompute"
         print(
-            f"  {p.host_link_gbps:6g} Gb/s host link: swap {p.swap_s:5.2f} s "
-            f"vs recompute {p.recompute_s:5.2f} s -> {winner:9s}  "
-            f"(AUTO swapped {p.auto_swap_fraction:4.0%} of "
-            f"{p.preemptions} preemptions)"
+            f"  {p['host_link_gbps']:6g} Gb/s host link: swap {p['swap_s']:5.2f} s "
+            f"vs recompute {p['recompute_s']:5.2f} s -> {winner:9s}  "
+            f"(AUTO swapped {p['swap_fraction']:4.0%} of "
+            f"{p['preemptions']} preemptions)"
         )
 
 

@@ -1,1001 +1,677 @@
-"""Fleet-scale sweeps: throughput-latency curves and the GPU-vs-RPU
-serving comparison at equal decode power.
+"""Fleet-scale sweeps: one :class:`Sweep` over declarative scenarios.
 
-Three experiments over :mod:`repro.serving.cluster`:
+A :class:`Sweep` takes a base :class:`~repro.api.Scenario`, a grid of
+axes and a set of named metrics, and returns one flat row per grid
+point: the axis columns, then the metric columns, then ``digest`` (the
+run's :func:`~repro.serving.engine.report_digest`).  An axis is either
 
-- **throughput_latency_curve**: sweep offered load (RPS) on a fixed
-  fleet and watch TTFT tails and goodput degrade as the decode pool
-  saturates -- the standard serving-capacity plot;
-- **pod_scaling_curve**: sweep the decode-pod count at fixed offered
-  load; delivered tokens/s must grow monotonically until it absorbs the
-  offered load (the fleet-sizing knob);
-- **gpu_vs_disaggregated**: the paper's Section I claim at fleet scale.
-  Both fleets get identical prefill pods; the decode pool is either GPU
-  groups or RPU boards sized to the *same TDP* via
-  :func:`repro.analysis.perf_model.iso_tdp_system` (ISO-power), and the
-  workload is reasoning traffic (short prompt, long chain of thought).
-  The RPU pool's higher decode throughput per watt shows up directly as
-  goodput at equal power;
-- **fleet_layout_comparison**: identical traffic over arbitrary decode
-  pool layouts expressed as :class:`repro.platform.Platform` tuples --
-  including mixed pools (RPU + H100 + H200 side by side) that the
-  pre-platform API could not express;
-- **reservation_sweep**: FULL (conservative full-context) vs PAGED
-  (block-granular, preempting) KV reservation at *equal KV budget* on
-  the reasoning mix.  Full-context reservation strands most of the
-  budget on 2k-prompt/4k-reasoning traffic; the paged pool turns that
-  stranded capacity into batch depth, so goodput and decode throughput
-  rise at every budget tight enough to bind;
-- **prefix_hit_sweep**: the KV cache hierarchy's first lever.  Identical
-  shared-prefix traffic (agentic fan-out groups) served with prefix
-  caching off and on at each sharing level: hit rate climbs with the
-  share probability, and the cached fleet converts it into lower TTFT
-  (skipped prefill + hand-off) and higher goodput at equal KV budget;
-- **swap_crossover_sweep**: the hierarchy's second lever.  Preemption
-  under a tight block pool resolved by recompute-on-resume vs
-  swap-to-host at each host-link bandwidth: the analytic cost model
-  (:func:`repro.serving.kvstore.swap_recompute_costs`) crosses over as
-  the link slows (and as prompts lengthen, since re-prefill FLOPs grow
-  superlinearly with context), and ``SwapPolicy.AUTO`` tracks the
-  cheaper branch on both sides;
-- **prefill_policy_sweep**: the event-driven prefill service queue.
-  Shared-prefix fan-out traffic at each offered load, served under
-  every :class:`repro.serving.cluster.PrefillPolicy` with late-bound
-  prefix hits, against the arrival-bound FIFO baseline (the PR 4
-  behavior).  As load saturates the prefill pool, queues deepen and
-  arrival-time checking misses every sibling whose founder is still
-  queued -- late binding recovers exactly those hits, so the gap in
-  hit rate (and sibling TTFT) *widens* with load;
-- **tenant_contention_sweep**: interactive and batch tenants sharing
-  one fleet as offered load rises, with admission control off and on.
-  Without shedding the batch tenant's long generations crowd the KV
-  pool and the interactive tenant's attainment sinks with load; with
-  per-tenant token buckets the low-weight batch tenant is shed first
-  once fleet pressure crosses the floor, holding the interactive
-  tenant's attainment and the fairness ratio;
-- **autoscaler_sweep**: static peak-provisioned fleet vs an elastic
-  fleet under the same flash-crowd trace at each spike multiple.  The
-  elastic fleet starts at the floor, scales up through the spike and
-  drains back down, so it delivers comparable goodput at a fraction of
-  the static fleet's $/1e6-token cost;
-- **specdec_acceptance_sweep**: draft/verify speculative decoding on
-  the fleet at each acceptance rate, against the no-specdec baseline on
-  identical reasoning traffic at equal KV budget.  Effective decode
-  throughput (tokens per decode-pod busy second) tracks
-  :func:`repro.specdec.speculative_speedup` as acceptance rises -- the
-  fleet-level face of the paper's ~1.8x operating point.
+- a **field path** (``"traffic.rate_rps"``, ``"kv_budget_bytes"``,
+  ``"admission.enabled"``) with a sequence of values, or
+- a **label** (``"fleet"``, ``"binding"``) mapping each label to a
+  ``{field path: value}`` override dict -- for joint flips such as a
+  GPU-colocated vs an ISO-TDP RPU decode pool.
+
+The grid is the cartesian product with the first axis outermost.
+Requests are generated once per distinct (model, traffic) pair, so
+axes that change only the fleet see identical arrivals.  Consumers
+that compare two fleets pair rows by axis value.
+
+Every study below is one declaration over a base scenario:
+
+- **throughput_latency_curve**: offered load (RPS) on a fixed fleet;
+  TTFT tails and goodput degrade as the decode pool saturates;
+- **pod_scaling_curve**: decode-pod count at fixed offered load;
+  delivered tokens/s grows until the pool absorbs the load;
+- **gpu_vs_disaggregated**: the paper's Section I claim at fleet
+  scale -- identical prefill pods, and a decode pool of either GPU
+  groups (colocated) or RPU boards sized to the *same TDP*
+  (ISO-power), on reasoning traffic;
+- **fleet_layout_comparison**: identical traffic over arbitrary
+  (possibly mixed RPU + H100 + H200) decode pools;
+- **reservation_sweep**: FULL vs PAGED KV reservation at equal KV
+  budget; the paged pool turns stranded capacity into batch depth;
+- **prefix_hit_sweep**: prefix caching off vs on at each sharing
+  level; hits buy lower TTFT and higher goodput at equal budget;
+- **prefill_policy_sweep**: arrival-bound FIFO vs every late-bound
+  :class:`~repro.serving.cluster.PrefillPolicy` as load saturates one
+  prefill pod; late binding recovers the hits of siblings whose
+  founder is still queued, and the gap widens with load;
+- **swap_crossover_sweep**: recompute vs swap-to-host vs ``AUTO``
+  preemption across host-link bandwidths, next to the analytic
+  :func:`~repro.serving.kvstore.swap_recompute_costs`;
+- **tenant_contention_sweep**: interactive and batch tenants sharing a
+  fleet as load rises, admission control off and on (one row per
+  tenant per run);
+- **autoscaler_sweep**: a static peak-provisioned fleet vs an elastic
+  one on the same flash-crowd trace; comparable goodput at lower $/Mtok;
+- **specdec_acceptance_sweep**: speculative decoding at each
+  acceptance rate against the no-specdec baseline; effective decode
+  throughput (:func:`effective_decode_rate`) tracks
+  :func:`repro.specdec.speculative_speedup`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
-from repro.analysis.perf_model import iso_tdp_system
-from repro.gpu.system import GpuSystem
+from repro.api import PodGroup, Scenario, TrafficSpec
 from repro.models.config import ModelConfig
-from repro.models.workload import Workload
-from repro.platform import RpuPlatform
-from repro.serving.cluster import (
-    ClusterConfig,
-    ClusterReport,
-    DecodePodSpec,
-    PrefillPolicy,
-    disaggregated_cluster,
-    gpu_only_cluster,
-    simulate,
-)
+from repro.platform import Platform, as_platform
+from repro.serving.cluster import ClusterReport, PrefillPolicy
+from repro.serving.engine import report_digest
 from repro.serving.kvstore import SwapPolicy, swap_recompute_costs
 from repro.serving.requests import (
-    ArrivalProcess,
     ArrivalTrace,
-    RequestGenerator,
-    TrafficClass,
-    merge_requests,
+    Request,
     prefix_founders,
     reasoning_traffic,
     sibling_ttft_mean,
 )
-from repro.serving.scheduler import Policy, Reservation
-from repro.serving.tenancy import (
-    BATCH,
-    INTERACTIVE,
-    AdmissionConfig,
-    AutoscalerConfig,
-    TenantSpec,
-)
+from repro.serving.scheduler import Reservation
+from repro.serving.tenancy import BATCH, INTERACTIVE, AutoscalerConfig, TenantSpec
+from repro.specdec import SpecDecConfig, SpeculativeConfig
+
+Row = dict[str, object]
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    """One offered-load point on the throughput-latency curve."""
+class SweepRun:
+    """One simulated grid point: the resolved scenario, the arrivals it
+    was served, and its report."""
 
-    rate_rps: float
-    tokens_per_s: float
-    goodput: float
-    ttft_p50_s: float
-    ttft_p99_s: float
-    tpot_p50_s: float
-    mean_queueing_delay_s: float
+    scenario: Scenario
+    requests: list[Request]
+    report: ClusterReport
 
 
-def _traffic(
-    model: ModelConfig,
-    rate_rps: float,
-    seed: int,
-    process: ArrivalProcess,
-    duration_s: float,
-):
-    generator = RequestGenerator(
-        classes=(reasoning_traffic(model),),
-        rate_rps=rate_rps,
-        process=process,
-        seed=seed,
+Metric = Callable[[SweepRun], object]
+
+
+def _override(obj: object, names: list[str], value: object, path: str) -> object:
+    """``obj`` with the field at ``names`` replaced by ``value``."""
+    if not dataclasses.is_dataclass(obj) or names[0] not in {
+        f.name for f in dataclasses.fields(obj)
+    }:
+        raise ValueError(f"unknown scenario field path {path!r}")
+    if len(names) > 1:
+        value = _override(getattr(obj, names[0]), names[1:], value, path)
+    return dataclasses.replace(obj, **{names[0]: value})  # type: ignore[type-var]
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """A grid of scenarios derived from ``base``, reduced to rows."""
+
+    base: Scenario
+    axes: Mapping[str, Sequence[object] | Mapping[object, Mapping[str, object]]]
+    metrics: Mapping[str, Metric]
+
+    def points(self) -> list[tuple[Row, Scenario]]:
+        """Every grid point's axis columns and resolved scenario, first
+        axis outermost."""
+        choices = [
+            list(values.items())
+            if isinstance(values, Mapping)
+            else [(value, {key: value}) for value in values]
+            for key, values in self.axes.items()
+        ]
+        points = []
+        for combo in itertools.product(*choices):
+            scenario = self.base
+            for _, overrides in combo:
+                for path, value in overrides.items():
+                    scenario = _override(scenario, path.split("."), value, path)
+            points.append((dict(zip(self.axes, (label for label, _ in combo))), scenario))
+        return points
+
+    def run(self) -> list[Row]:
+        """Simulate every grid point, in grid order."""
+        streams: list[tuple[tuple[ModelConfig, TrafficSpec], list[Request]]] = []
+        rows = []
+        for columns, scenario in self.points():
+            key = (scenario.model, scenario.traffic)
+            requests = next((reqs for seen, reqs in streams if seen == key), None)
+            if requests is None:
+                requests = scenario.requests()
+                streams.append((key, requests))
+            run = SweepRun(scenario, requests, scenario.run(requests))
+            rows.append({
+                **columns,
+                **{name: metric(run) for name, metric in self.metrics.items()},
+                "digest": report_digest(run.report),
+            })
+        return rows
+
+
+# ----------------------------------------------------------------------
+# Metric helpers
+# ----------------------------------------------------------------------
+def _report(*names: str) -> dict[str, Metric]:
+    """Metrics reading the same-named :class:`ClusterReport` attribute."""
+    return {name: (lambda run, name=name: getattr(run.report, name)) for name in names}
+
+
+def _before_digest(row: Row, columns: Mapping[str, object]) -> Row:
+    """``row`` with derived ``columns`` inserted ahead of its ``digest``."""
+    return {
+        **{key: value for key, value in row.items() if key != "digest"},
+        **columns,
+        "digest": row["digest"],
+    }
+
+
+def _completed(run: SweepRun) -> int:
+    return len(run.report.completed)
+
+
+def _decode_platform(run: SweepRun) -> Platform:
+    scenario = run.scenario
+    return scenario.decode[0].build(scenario.sizing_workload())[0]
+
+
+def _reasoning(model: ModelConfig, duration_s: float, rate_rps: float = 1.0) -> TrafficSpec:
+    """The reasoning mix (2k prompt / 4k chain of thought)."""
+    return TrafficSpec(
+        rate_rps=rate_rps, duration_s=duration_s, classes=(reasoning_traffic(model),)
     )
-    return generator.generate(duration_s)
 
 
+def _rpu(count: int) -> tuple[PodGroup, ...]:
+    return (PodGroup("rpu", count=count),)
+
+
+# ----------------------------------------------------------------------
+# Studies
+# ----------------------------------------------------------------------
 def throughput_latency_curve(
     model: ModelConfig,
     *,
-    rates_rps: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0),
-    num_prefill_pods: int = 2,
-    num_decode_pods: int = 2,
-    cus_per_pod: int = 128,
+    rates_rps: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
     duration_s: float = 30.0,
-    seed: int = 0,
-    policy: Policy = Policy.FIFO,
-    process: ArrivalProcess = ArrivalProcess.POISSON,
-) -> list[SweepPoint]:
+) -> list[Row]:
     """Delivered throughput and latency tails as offered load rises."""
-    config = disaggregated_cluster(
-        model,
-        num_prefill_pods=num_prefill_pods,
-        num_decode_pods=num_decode_pods,
-        cus_per_pod=cus_per_pod,
-        policy=policy,
-    )
-    points = []
-    for rate in rates_rps:
-        report = simulate(config, _traffic(model, rate, seed, process, duration_s))
-        points.append(
-            SweepPoint(
-                rate_rps=rate,
-                tokens_per_s=report.tokens_per_s,
-                goodput=report.goodput,
-                ttft_p50_s=report.ttft_percentile(50),
-                ttft_p99_s=report.ttft_percentile(99),
-                tpot_p50_s=report.tpot_percentile(50),
-                mean_queueing_delay_s=report.mean_queueing_delay_s,
-            )
-        )
-    return points
+    return Sweep(
+        Scenario(model, traffic=_reasoning(model, duration_s)),
+        {"traffic.rate_rps": rates_rps},
+        {
+            **_report("tokens_per_s", "goodput"),
+            "ttft_p50_s": lambda run: run.report.ttft_percentile(50),
+            "ttft_p99_s": lambda run: run.report.ttft_percentile(99),
+            "tpot_p50_s": lambda run: run.report.tpot_percentile(50),
+            **_report("mean_queueing_delay_s"),
+        },
+    ).run()
 
 
-@dataclass(frozen=True)
-class PodScalingPoint:
-    """Delivered throughput at one decode-pool size."""
-
-    num_decode_pods: int
-    tokens_per_s: float
-    goodput: float
-    mean_decode_utilization: float
+def _mean_decode_utilization(run: SweepRun) -> float:
+    report = run.report
+    decode = [p for p in report.pod_stats if p.kind == "decode"]
+    return sum(p.utilization(report.duration_s) for p in decode) / len(decode)
 
 
 def pod_scaling_curve(
     model: ModelConfig,
     *,
-    pod_counts: tuple[int, ...] = (1, 2, 4),
+    pod_counts: Sequence[int] = (1, 2, 4),
     rate_rps: float = 4.0,
-    num_prefill_pods: int = 4,
-    cus_per_pod: int = 128,
     duration_s: float = 20.0,
-    seed: int = 0,
-) -> list[PodScalingPoint]:
-    """Fleet sizing: tokens/s vs decode pods at fixed offered load.
-
-    Delivered throughput is monotone non-decreasing in the pod count and
-    plateaus once the pool absorbs the offered load.
-    """
-    requests = _traffic(model, rate_rps, seed, ArrivalProcess.POISSON, duration_s)
-    points = []
-    for count in pod_counts:
-        config = disaggregated_cluster(
+) -> list[Row]:
+    """Fleet sizing: tokens/s vs decode pods at fixed offered load (four
+    prefill pods, so decode is the binding pool)."""
+    return Sweep(
+        Scenario(
             model,
-            num_prefill_pods=num_prefill_pods,
-            num_decode_pods=count,
-            cus_per_pod=cus_per_pod,
-        )
-        report = simulate(config, requests)
-        decode = [p for p in report.pod_stats if p.kind == "decode"]
-        points.append(
-            PodScalingPoint(
-                num_decode_pods=count,
-                tokens_per_s=report.tokens_per_s,
-                goodput=report.goodput,
-                mean_decode_utilization=sum(
-                    p.utilization(report.duration_s) for p in decode
-                )
-                / len(decode),
-            )
-        )
-    return points
+            traffic=_reasoning(model, duration_s, rate_rps),
+            prefill=(PodGroup("gpu", count=4),),
+        ),
+        {"num_decode_pods": {n: {"decode": _rpu(n)} for n in pod_counts}},
+        {
+            **_report("tokens_per_s", "goodput"),
+            "mean_decode_utilization": _mean_decode_utilization,
+        },
+    ).run()
 
 
-@dataclass(frozen=True)
-class FleetComparison:
-    """GPU-only vs disaggregated serving at equal decode TDP."""
+def gpu_vs_disaggregated(
+    model: ModelConfig, *, rate_rps: float = 1.0, duration_s: float = 30.0
+) -> list[Row]:
+    """Reasoning traffic on two fleets with identical prefill pods and
+    equal-TDP decode pools: two colocated 2xH100 groups vs two RPU
+    boards sized by the paper's ISO-TDP rule.  One row per fleet,
+    ``"gpu_only"`` first."""
+    return Sweep(
+        Scenario(model, traffic=_reasoning(model, duration_s, rate_rps)),
+        {
+            "fleet": {
+                "gpu_only": {"decode": (PodGroup("gpu", count=2),), "colocated": True},
+                "disaggregated": {
+                    "decode": (PodGroup("rpu_iso_tdp", count=2, options={"gpus": 2}),)
+                },
+            }
+        },
+        {
+            **_report("goodput", "tokens_per_s", "energy_per_token_j", "total_energy_j"),
+            "ttft_p50_s": lambda run: run.report.ttft_percentile(50),
+            "tpot_p50_s": lambda run: run.report.tpot_percentile(50),
+            "decode_pod_tdp_w": lambda run: _decode_platform(run).tdp_w,
+            "decode_pod_cus": lambda run: getattr(
+                _decode_platform(run).engine, "num_cus", None
+            ),
+        },
+    ).run()
 
-    gpu_only: ClusterReport
-    disaggregated: ClusterReport
-    decode_pod_tdp_w: float
-    rpu_cus_per_pod: int
 
-    @property
-    def goodput_advantage(self) -> float:
-        """Disaggregated goodput minus GPU-only goodput (fractions)."""
-        return self.disaggregated.goodput - self.gpu_only.goodput
+def fleet_layout_comparison(
+    model: ModelConfig,
+    layouts: Mapping[str, tuple[object, ...]],
+    *,
+    rate_rps: float = 1.0,
+    duration_s: float = 30.0,
+) -> list[Row]:
+    """Identical reasoning traffic over arbitrary decode-pool layouts.
 
-    @property
-    def throughput_ratio(self) -> float:
-        if self.gpu_only.tokens_per_s == 0:  # simlint: ok[digest-safety] zero-throughput sentinel
-            return float("inf")
-        return self.disaggregated.tokens_per_s / self.gpu_only.tokens_per_s
-
-
-@dataclass(frozen=True)
-class ReservationPoint:
-    """FULL or PAGED serving at one KV budget."""
-
-    reservation: Reservation
-    kv_budget_gb: float
-    goodput: float
-    #: Drain-inclusive decode throughput -- the comparable rate here,
-    #: since both policies see identical arrivals (the arrival-window
-    #: rate degenerates to equality once both complete everything).
-    tokens_per_s: float
-    arrival_window_tokens_per_s: float
-    mean_decode_kv_occupancy: float
-    preemptions: int
-    completed: int
+    ``layouts`` maps a label to the platforms (or raw ``RpuSystem`` /
+    ``GpuSystem`` engines) filling the decode pool -- homogeneous or
+    mixed (an RPU board next to H100 and H200 groups).
+    Prefill pods are identical across layouts, isolating the decode
+    hardware.
+    """
+    return Sweep(
+        Scenario(model, traffic=_reasoning(model, duration_s, rate_rps)),
+        {
+            "layout": {
+                label: {"decode": tuple(PodGroup(as_platform(pod)) for pod in pods)}
+                for label, pods in layouts.items()
+            }
+        },
+        {
+            **_report("num_submitted", "goodput", "tokens_per_s", "energy_per_token_j"),
+            "completed": _completed,
+            "rejected": lambda run: len(run.report.rejected),
+        },
+    ).run()
 
 
 def reservation_sweep(
     model: ModelConfig,
     *,
-    kv_budgets_gb: tuple[float, ...] = (3.0, 4.0, 6.0),
+    kv_budgets_gb: Sequence[float] = (3.0, 4.0, 6.0),
     rate_rps: float = 2.0,
     duration_s: float = 30.0,
-    num_prefill_pods: int = 2,
     num_decode_pods: int = 1,
-    cus_per_pod: int = 128,
-    block_tokens: int = 128,
-    seed: int = 0,
-) -> list[ReservationPoint]:
-    """Occupancy-vs-reservation: FULL and PAGED KV policies on the same
-    fleet, same reasoning traffic, at each (equal) KV budget.
+) -> list[Row]:
+    """FULL and PAGED KV reservation on the same fleet and reasoning
+    traffic at each (equal) KV budget, FULL first.
 
-    Returns two points per budget, FULL first.  At budgets tight enough
-    that full-context reservation starves admission, the paged pool's
-    deeper batches buy strictly more decode throughput and at least
-    equal goodput -- the occupancy win the paper's fleet deployment
-    depends on.
+    ``tokens_per_s`` is drain-inclusive -- the comparable rate here,
+    since both policies see identical arrivals.  At budgets tight
+    enough that full-context reservation starves admission, the paged
+    pool's deeper batches buy strictly more decode throughput and at
+    least equal goodput.
     """
-    requests = _traffic(model, rate_rps, seed, ArrivalProcess.POISSON, duration_s)
-    points = []
-    for budget_gb in kv_budgets_gb:
-        for reservation in (Reservation.FULL, Reservation.PAGED):
-            config = disaggregated_cluster(
-                model,
-                num_prefill_pods=num_prefill_pods,
-                num_decode_pods=num_decode_pods,
-                cus_per_pod=cus_per_pod,
-                reservation=reservation,
-                block_tokens=block_tokens,
-                kv_budget_bytes=budget_gb * 1e9,
-            )
-            report = simulate(config, requests)
-            points.append(
-                ReservationPoint(
-                    reservation=reservation,
-                    kv_budget_gb=budget_gb,
-                    goodput=report.goodput,
-                    tokens_per_s=report.tokens_per_s,
-                    arrival_window_tokens_per_s=(
-                        report.arrival_window_tokens_per_s
-                    ),
-                    mean_decode_kv_occupancy=report.mean_decode_kv_occupancy,
-                    preemptions=report.total_preemptions,
-                    completed=len(report.completed),
-                )
-            )
-    return points
-
-
-def fleet_layout_comparison(
-    model: ModelConfig,
-    layouts: dict[str, tuple],
-    *,
-    rate_rps: float = 1.0,
-    num_prefill_pods: int = 2,
-    gpus_per_prefill: int = 2,
-    duration_s: float = 30.0,
-    seed: int = 0,
-) -> dict[str, ClusterReport]:
-    """Identical reasoning traffic over arbitrary decode-pool layouts.
-
-    ``layouts`` maps a label to the tuple of :class:`repro.platform.Platform`
-    pods filling the decode pool -- homogeneous or mixed (e.g. an
-    RPU board next to H100 and H200 groups), which only the platform
-    interface can express.  Prefill pods are identical across layouts so
-    the comparison isolates the decode hardware.
-    """
-    from repro.platform import GpuPlatform, as_platform
-
-    requests = _traffic(model, rate_rps, seed, ArrivalProcess.POISSON, duration_s)
-    prefill = tuple(
-        GpuPlatform(GpuSystem(count=gpus_per_prefill))
-        for _ in range(num_prefill_pods)
-    )
-    reports = {}
-    for label, pods in layouts.items():
-        config = ClusterConfig(
-            prefill_engines=prefill,
-            decode_pods=tuple(
-                DecodePodSpec(as_platform(pod), model) for pod in pods
+    return Sweep(
+        Scenario(
+            model,
+            traffic=_reasoning(model, duration_s, rate_rps),
+            decode=_rpu(num_decode_pods),
+        ),
+        {
+            "kv_budget_gb": {gb: {"kv_budget_bytes": gb * 1e9} for gb in kv_budgets_gb},
+            "reservation": (Reservation.FULL, Reservation.PAGED),
+        },
+        {
+            **_report(
+                "goodput",
+                "tokens_per_s",
+                "arrival_window_tokens_per_s",
+                "mean_decode_kv_occupancy",
             ),
-        )
-        reports[label] = simulate(config, requests)
-    return reports
+            "preemptions": lambda run: run.report.total_preemptions,
+            "completed": _completed,
+        },
+    ).run()
 
 
-@dataclass(frozen=True)
-class PrefixCachePoint:
-    """Cached vs uncached serving of one shared-prefix traffic level."""
-
-    share_prob: float
-    #: Prefix-cache hit rate realized by the cached run (tokens served
-    #: from resident blocks / tokens looked up).
-    hit_rate: float
-    goodput_uncached: float
-    goodput_cached: float
-    ttft_p50_uncached_s: float
-    ttft_p50_cached_s: float
-    tokens_per_s_uncached: float
-    tokens_per_s_cached: float
-    completed_uncached: int
-    completed_cached: int
+def _fanout(**overrides: object) -> TrafficSpec:
+    """Agentic fan-out traffic: groups of 8 sharing 3/4 of the founder's
+    2k prompt."""
+    return TrafficSpec(
+        prompt_mean=2048, decode_mean=512, prefix_fanout=8, prefix_frac=0.75, **overrides
+    )
 
 
 def prefix_hit_sweep(
     model: ModelConfig,
     *,
-    share_probs: tuple[float, ...] = (0.0, 0.5, 0.9),
-    prefix_fanout: int = 8,
-    prefix_frac: float = 0.75,
+    share_probs: Sequence[float] = (0.0, 0.5, 0.9),
     rate_rps: float = 6.0,
     duration_s: float = 20.0,
-    prompt_mean: int = 2048,
-    decode_mean: int = 512,
-    num_prefill_pods: int = 2,
-    num_decode_pods: int = 1,
-    cus_per_pod: int = 128,
-    kv_budget_gb: float = 4.0,
-    seed: int = 0,
-) -> list[PrefixCachePoint]:
-    """Prefix caching off vs on across sharing levels, at equal KV
-    budget on identical traffic.
-
-    Each point generates agentic-fan-out traffic whose arrivals join an
-    open prefix group with probability ``share_prob`` (groups of
-    ``prefix_fanout`` sharing ``prefix_frac`` of the founder's prompt)
-    and serves it twice on the same fleet.  As sharing rises, the
-    cached fleet's hit rate climbs and shows up as lower TTFT (cached
-    tokens skip prefill and the hand-off) and higher goodput (skipped
-    block allocations deepen the batch at the same budget).
-    """
-    points = []
-    for share_prob in share_probs:
-        traffic = TrafficClass(
+) -> list[Row]:
+    """Prefix caching off vs on at each sharing level, on one decode pod
+    with a 4 GB KV budget.  ``arrival_window_tokens_per_s`` is the
+    comparable rate; the uncached run's hit rate is 0."""
+    return Sweep(
+        Scenario(
             model,
-            prompt_mean=prompt_mean,
-            decode_mean=decode_mean,
-            prefix_share_prob=share_prob,
-            prefix_fanout=prefix_fanout,
-            prefix_frac=prefix_frac,
-        )
-        requests = RequestGenerator(
-            classes=(traffic,), rate_rps=rate_rps, seed=seed
-        ).generate(duration_s)
-        base = disaggregated_cluster(
-            model,
-            num_prefill_pods=num_prefill_pods,
-            num_decode_pods=num_decode_pods,
-            cus_per_pod=cus_per_pod,
-            kv_budget_bytes=kv_budget_gb * 1e9,
-        )
-        uncached = simulate(base, requests)
-        cached = simulate(
-            dataclasses.replace(base, prefix_caching=True), requests
-        )
-        points.append(
-            PrefixCachePoint(
-                share_prob=share_prob,
-                hit_rate=cached.prefix_hit_rate,
-                goodput_uncached=uncached.goodput,
-                goodput_cached=cached.goodput,
-                ttft_p50_uncached_s=uncached.ttft_percentile(50),
-                ttft_p50_cached_s=cached.ttft_percentile(50),
-                tokens_per_s_uncached=uncached.arrival_window_tokens_per_s,
-                tokens_per_s_cached=cached.arrival_window_tokens_per_s,
-                completed_uncached=len(uncached.completed),
-                completed_cached=len(cached.completed),
-            )
-        )
-    return points
-
-
-@dataclass(frozen=True)
-class PrefillPolicyPoint:
-    """One (offered load, prefill policy) point of the service-queue
-    sweep, next to its arrival-bound FIFO baseline."""
-
-    rate_rps: float
-    policy: PrefillPolicy
-    #: Late-bound run: prefix hit rate, the tokens recovered purely by
-    #: re-checking the cache at service start, and the SLO metrics.
-    hit_rate: float
-    late_hit_tokens: int
-    goodput: float
-    ttft_p50_s: float
-    #: Mean TTFT of fan-out *siblings* (group members after the
-    #: founder) -- the requests late binding serves from cache.
-    sibling_ttft_mean_s: float
-    queue_mean_depth: float
-    queue_peak_depth: int
-    completed: int
-    #: Arrival-bound FIFO baseline on identical traffic (the PR 4
-    #: behavior); repeated across the rate's points for convenience.
-    hit_rate_arrival: float
-    ttft_p50_arrival_s: float
-    sibling_ttft_mean_arrival_s: float
-
-    @property
-    def recovered_hit_rate(self) -> float:
-        """Hit-rate gap late binding opened over arrival binding."""
-        return self.hit_rate - self.hit_rate_arrival
+            traffic=_fanout(rate_rps=rate_rps, duration_s=duration_s),
+            decode=_rpu(1),
+            kv_budget_bytes=4e9,
+        ),
+        {"traffic.prefix_share_prob": share_probs, "prefix_caching": (False, True)},
+        {
+            "hit_rate": lambda run: run.report.prefix_hit_rate,
+            **_report("goodput", "arrival_window_tokens_per_s"),
+            "ttft_p50_s": lambda run: run.report.ttft_percentile(50),
+            "completed": _completed,
+        },
+    ).run()
 
 
 def prefill_policy_sweep(
     model: ModelConfig,
     *,
-    rates_rps: tuple[float, ...] = (2.0, 6.0, 10.0),
-    policies: tuple[PrefillPolicy, ...] = tuple(PrefillPolicy),
-    share_prob: float = 0.9,
-    prefix_fanout: int = 8,
-    prefix_frac: float = 0.75,
-    prompt_mean: int = 2048,
-    decode_mean: int = 512,
-    num_prefill_pods: int = 1,
-    num_decode_pods: int = 2,
-    cus_per_pod: int = 128,
-    kv_budget_gb: float = 4.0,
+    rates_rps: Sequence[float] = (2.0, 6.0, 10.0),
     duration_s: float = 15.0,
-    seed: int = 0,
-) -> list[PrefillPolicyPoint]:
+) -> list[Row]:
     """Late-bound prefill scheduling vs the arrival-bound baseline on
-    shared-prefix fan-out traffic, across offered loads and policies.
+    shared-prefix fan-out traffic, across offered loads.
 
-    One deliberately scarce prefill pool (``num_prefill_pods=1``) so
-    rising load saturates prefill and queues build.  At each rate the
-    identical traffic is served arrival-bound FIFO (the PR 4 baseline:
-    the cache is checked when a request arrives) and late-bound under
-    each policy.  Under saturation a fan-out sibling usually arrives
-    while its founder is still queued, so the baseline misses; the
-    service-start re-check recovers those hits, and the recovered gap
-    widens with load -- visible directly in ``late_hit_tokens`` and in
-    sibling TTFT.
+    One deliberately scarce prefill pod, so rising load queues work.
+    At each rate the identical traffic is served with ``binding``
+    ``"arrival"`` (arrival-bound FIFO: the cache is checked when a
+    request arrives) and late-bound under each policy (labelled by
+    ``PrefillPolicy.value``).  Under saturation a sibling usually
+    arrives while its founder is still queued, so the baseline misses;
+    the service-start re-check recovers those hits -- visible in
+    ``late_hit_tokens`` and in ``sibling_ttft_mean_s``.
     """
-    traffic = TrafficClass(
-        model,
-        prompt_mean=prompt_mean,
-        decode_mean=decode_mean,
-        prefix_share_prob=share_prob,
-        prefix_fanout=prefix_fanout,
-        prefix_frac=prefix_frac,
-    )
-    points = []
-    for rate in rates_rps:
-        requests = RequestGenerator(
-            classes=(traffic,), rate_rps=rate, seed=seed
-        ).generate(duration_s)
-        founders = prefix_founders(requests)
-        base = dataclasses.replace(
-            disaggregated_cluster(
-                model,
-                num_prefill_pods=num_prefill_pods,
-                num_decode_pods=num_decode_pods,
-                cus_per_pod=cus_per_pod,
-                kv_budget_bytes=kv_budget_gb * 1e9,
-            ),
+    return Sweep(
+        Scenario(
+            model,
+            traffic=_fanout(duration_s=duration_s, prefix_share_prob=0.9),
+            prefill=(PodGroup("gpu", count=1),),
+            kv_budget_bytes=4e9,
             prefix_caching=True,
-        )
-        arrival = simulate(
-            dataclasses.replace(base, late_binding=False), requests
-        )
-        for policy in policies:
-            report = simulate(
-                dataclasses.replace(base, prefill_policy=policy), requests
-            )
-            points.append(
-                PrefillPolicyPoint(
-                    rate_rps=rate,
-                    policy=policy,
-                    hit_rate=report.prefix_hit_rate,
-                    late_hit_tokens=report.late_hit_tokens,
-                    goodput=report.goodput,
-                    ttft_p50_s=report.ttft_percentile(50),
-                    sibling_ttft_mean_s=sibling_ttft_mean(
-                        report.completed, founders
-                    ),
-                    queue_mean_depth=report.prefill_queue.mean_depth,
-                    queue_peak_depth=report.prefill_queue.peak_depth,
-                    completed=len(report.completed),
-                    hit_rate_arrival=arrival.prefix_hit_rate,
-                    ttft_p50_arrival_s=arrival.ttft_percentile(50),
-                    sibling_ttft_mean_arrival_s=sibling_ttft_mean(
-                        arrival.completed, founders
-                    ),
-                )
-            )
-    return points
-
-
-@dataclass(frozen=True)
-class SwapCrossoverPoint:
-    """Recompute vs swap-to-host preemption at one (prompt, link) point."""
-
-    prompt_mean: int
-    host_link_gbps: float
-    #: Analytic per-victim costs at the representative context
-    #: (:func:`repro.serving.kvstore.swap_recompute_costs`).
-    swap_s: float
-    recompute_s: float
-    #: Fraction of AUTO-policy preemptions resolved by swapping (1.0 on
-    #: the fast-link side of the crossover, 0.0 on the slow side).
-    auto_swap_fraction: float
-    e2e_p95_recompute_s: float
-    e2e_p95_swap_s: float
-    e2e_p95_auto_s: float
-    preemptions: int
-
-    @property
-    def swap_wins(self) -> bool:
-        """Does the cost model favor swapping at this point?"""
-        return self.swap_s < self.recompute_s
+        ),
+        {
+            "traffic.rate_rps": rates_rps,
+            "binding": {
+                "arrival": {"late_binding": False},
+                **{p.value: {"prefill_policy": p} for p in PrefillPolicy},
+            },
+        },
+        {
+            "hit_rate": lambda run: run.report.prefix_hit_rate,
+            **_report("late_hit_tokens", "goodput"),
+            "ttft_p50_s": lambda run: run.report.ttft_percentile(50),
+            "sibling_ttft_mean_s": lambda run: sibling_ttft_mean(
+                run.report.completed, prefix_founders(run.requests)
+            ),
+            "queue_mean_depth": lambda run: run.report.prefill_queue.mean_depth,
+            "queue_peak_depth": lambda run: run.report.prefill_queue.peak_depth,
+            "completed": _completed,
+        },
+    ).run()
 
 
 def swap_crossover_sweep(
     model: ModelConfig,
     *,
-    host_link_gbps: tuple[float, ...] = (400.0, 100.0, 25.0, 6.0, 1.5),
-    prompt_means: tuple[int, ...] = (2048,),
-    decode_mean: int = 4096,
-    rate_rps: float = 2.0,
+    host_link_gbps: Sequence[float] = (400.0, 100.0, 25.0, 6.0, 1.5),
     duration_s: float = 20.0,
-    num_prefill_pods: int = 2,
-    num_decode_pods: int = 1,
-    cus_per_pod: int = 128,
-    kv_budget_gb: float = 3.0,
-    seed: int = 0,
-) -> list[SwapCrossoverPoint]:
-    """Preemption resolution across host-link bandwidths (and prompt
-    lengths): recompute-on-resume vs swap-to-host vs the AUTO cost
-    model, on identical traffic under a deliberately tight block pool.
+) -> list[Row]:
+    """Preemption resolution across host-link bandwidths under a tight
+    3 GB block pool: recompute-on-resume (``NEVER``), swap-to-host
+    (``ALWAYS``) and the ``AUTO`` cost model on identical traffic.
 
-    Swapping moves the victim's resident KV across the host link twice;
-    recomputing re-pays the context prefill plus the hand-off.  Both
-    scale with context, but re-prefill FLOPs grow superlinearly
-    (attention) while swap bytes grow linearly -- so swap wins on fast
-    links and long prompts, recompute on slow links and short prompts,
-    and the sweep exhibits the crossover along both axes.  AUTO should
-    match whichever pure policy is cheaper at every point.
+    Swapping moves the victim's KV across the host link twice;
+    recomputing re-pays the context prefill plus the hand-off.  Swap
+    wins on fast links and recompute on slow ones (``swap_s`` vs
+    ``recompute_s``), and ``AUTO``'s ``swap_fraction`` should follow
+    whichever is cheaper.
     """
-    from repro.models.dtypes import DType
     from repro.models.kv_cache import kv_cache_bytes
-    from repro.platform import GpuPlatform
     from repro.platform.base import KV_TRANSFER_BYTES_PER_S
 
-    prefill_platform = GpuPlatform(GpuSystem(count=2))
-    points = []
-    for prompt_mean in prompt_means:
-        traffic = TrafficClass(
-            model, prompt_mean=prompt_mean, decode_mean=decode_mean
-        )
-        requests = RequestGenerator(
-            classes=(traffic,), rate_rps=rate_rps, seed=seed
-        ).generate(duration_s)
-        base = disaggregated_cluster(
-            model,
-            num_prefill_pods=num_prefill_pods,
-            num_decode_pods=num_decode_pods,
-            cus_per_pod=cus_per_pod,
-            kv_budget_bytes=kv_budget_gb * 1e9,
-        )
-        # Representative victim: full prompt plus half the reasoning.
-        context = prompt_mean + decode_mean // 2
-        resident = kv_cache_bytes(model, context, 1, DType.FP8)
-        for gbps in host_link_gbps:
-            host_rate = gbps * 1e9 / 8.0
-            swap_s, recompute_s = swap_recompute_costs(
-                model,
-                context,
-                resident,
-                prefill_platform=prefill_platform,
-                kv_dtype=DType.FP8,
-                handoff_bytes_per_s=KV_TRANSFER_BYTES_PER_S,
-                host_bytes_per_s=host_rate,
-            )
-            reports = {
-                policy: simulate(
-                    dataclasses.replace(
-                        base, swap_policy=policy, swap_bytes_per_s=host_rate
-                    ),
-                    requests,
-                )
-                for policy in (
-                    SwapPolicy.NEVER, SwapPolicy.ALWAYS, SwapPolicy.AUTO
-                )
-            }
-            auto = reports[SwapPolicy.AUTO]
-            points.append(
-                SwapCrossoverPoint(
-                    prompt_mean=prompt_mean,
-                    host_link_gbps=gbps,
-                    swap_s=swap_s,
-                    recompute_s=recompute_s,
-                    auto_swap_fraction=(
-                        auto.total_swaps / auto.total_preemptions
-                        if auto.total_preemptions
-                        else 0.0
-                    ),
-                    e2e_p95_recompute_s=reports[
-                        SwapPolicy.NEVER
-                    ].e2e_percentile(95),
-                    e2e_p95_swap_s=reports[
-                        SwapPolicy.ALWAYS
-                    ].e2e_percentile(95),
-                    e2e_p95_auto_s=auto.e2e_percentile(95),
-                    preemptions=auto.total_preemptions,
-                )
-            )
-    return points
-
-
-def gpu_vs_disaggregated(
-    model: ModelConfig,
-    *,
-    rate_rps: float = 1.0,
-    num_prefill_pods: int = 2,
-    num_decode_pods: int = 2,
-    gpus_per_decode: int = 2,
-    duration_s: float = 30.0,
-    seed: int = 0,
-) -> FleetComparison:
-    """Reasoning traffic on two fleets with identical prefill pods and
-    equal-TDP decode pools (RPU pods sized by the paper's ISO-TDP rule).
-    """
-    sizing = Workload(model, batch_size=32, seq_len=8192)
-    gpu_pod = GpuSystem(count=gpus_per_decode)
-    rpu_pod = iso_tdp_system(gpu_pod, sizing)
-
-    requests = _traffic(model, rate_rps, seed, ArrivalProcess.POISSON, duration_s)
-
-    gpu_config = gpu_only_cluster(
+    base = Scenario(
         model,
-        num_prefill_pods=num_prefill_pods,
-        num_decode_pods=num_decode_pods,
-        gpus_per_decode=gpus_per_decode,
-    )
-    disagg_config = ClusterConfig(
-        prefill_engines=gpu_config.prefill_engines,
-        decode_pods=tuple(
-            DecodePodSpec(RpuPlatform(rpu_pod), model)
-            for _ in range(num_decode_pods)
+        traffic=TrafficSpec(
+            rate_rps=2.0, duration_s=duration_s, prompt_mean=2048, decode_mean=4096
         ),
+        decode=_rpu(1),
+        kv_budget_bytes=3e9,
     )
-    return FleetComparison(
-        gpu_only=simulate(gpu_config, requests),
-        disaggregated=simulate(disagg_config, requests),
-        decode_pod_tdp_w=gpu_pod.tdp_w,
-        rpu_cus_per_pod=rpu_pod.num_cus,
+    host_rates = {gbps: gbps * 1e9 / 8.0 for gbps in host_link_gbps}
+    # Analytic per-victim (swap_s, recompute_s) at a representative
+    # context: the full prompt plus half the reasoning.
+    context = base.traffic.prompt_mean + base.traffic.decode_mean // 2
+    prefill_platform = base.prefill[0].build(base.sizing_workload())[0]
+    costs = {
+        rate: swap_recompute_costs(
+            model,
+            context,
+            kv_cache_bytes(model, context, 1, base.kv_dtype),
+            prefill_platform=prefill_platform,
+            kv_dtype=base.kv_dtype,
+            handoff_bytes_per_s=KV_TRANSFER_BYTES_PER_S,
+            host_bytes_per_s=rate,
+        )
+        for rate in host_rates.values()
+    }
+    return Sweep(
+        base,
+        {
+            "host_link_gbps": {
+                gbps: {"swap_bytes_per_s": rate} for gbps, rate in host_rates.items()
+            },
+            "swap_policy": (SwapPolicy.NEVER, SwapPolicy.ALWAYS, SwapPolicy.AUTO),
+        },
+        {
+            "swap_s": lambda run: costs[run.scenario.swap_bytes_per_s][0],
+            "recompute_s": lambda run: costs[run.scenario.swap_bytes_per_s][1],
+            "swap_fraction": lambda run: (
+                run.report.total_swaps / run.report.total_preemptions
+                if run.report.total_preemptions
+                else 0.0
+            ),
+            "e2e_p95_s": lambda run: run.report.e2e_percentile(95),
+            "preemptions": lambda run: run.report.total_preemptions,
+        },
+    ).run()
+
+
+def _contention_roster(duration_s: float, scale: float) -> TrafficSpec:
+    """Interactive chats (2 RPS at scale 1) and batch generations (1 RPS)."""
+    return TrafficSpec(
+        tenants=(
+            TenantSpec(
+                "interactive",
+                traffic=TrafficSpec(
+                    rate_rps=2.0 * scale,
+                    duration_s=duration_s,
+                    prompt_mean=512,
+                    decode_mean=256,
+                    seed=1,
+                ),
+                slo=INTERACTIVE,
+                priority=2,
+                weight=2.0,
+            ),
+            TenantSpec(
+                "batch",
+                traffic=TrafficSpec(
+                    rate_rps=scale,
+                    duration_s=duration_s,
+                    prompt_mean=1024,
+                    decode_mean=4096,
+                    seed=2,
+                ),
+                slo=BATCH,
+                weight=0.5,
+            ),
+        )
     )
-
-
-@dataclass(frozen=True)
-class TenantContentionPoint:
-    """One tenant's outcome at one offered-load multiple."""
-
-    load_scale: float
-    shedding: bool
-    tenant: str
-    offered: int
-    shed: int
-    attainment: float
-    ttft_p95_s: float
-    #: Fleet-wide max/min attainment ratio for this run (repeated on
-    #: every tenant row of the run so each point is self-describing).
-    fleet_fairness: float
 
 
 def tenant_contention_sweep(
     model: ModelConfig,
     *,
-    load_scales: tuple[float, ...] = (0.5, 1.0, 2.0),
-    base_rate_rps: float = 1.0,
+    load_scales: Sequence[float] = (0.5, 1.0, 2.0),
     duration_s: float = 30.0,
-    num_prefill_pods: int = 2,
-    num_decode_pods: int = 2,
-    cus_per_pod: int = 128,
-    kv_budget_gb: float = 3.0,
-    seed: int = 0,
-) -> list[TenantContentionPoint]:
+) -> list[Row]:
     """Interactive + batch tenants on one fleet as offered load rises,
-    with admission control off and on at each load.
+    with admission control off and on at each load; one row per tenant
+    per run (``fairness`` is the run's max/min attainment ratio).
 
-    The interactive tenant sends short chats (tight TTFT/TPOT SLO,
-    weight 2); the batch tenant sends long offline generations (no
-    latency SLO, weight 0.5).  Without shedding, batch decode tokens
-    crowd the shared KV pool and the interactive tenant's attainment
-    sinks as load rises.  With per-tenant token buckets the batch
-    tenant is throttled first once fleet pressure crosses the floor,
-    holding interactive attainment -- visible as the elastic run's
-    fairness ratio staying near 1 while the no-shed run's diverges.
+    Without shedding, batch decode tokens crowd the shared KV pool and
+    the interactive tenant's attainment sinks with load.  With
+    per-tenant token buckets the low-weight batch tenant is throttled
+    first once fleet pressure crosses the floor.
     """
-    tenants = (
-        TenantSpec("interactive", slo=INTERACTIVE, priority=2, weight=2.0),
-        TenantSpec("batch", slo=BATCH, priority=0, weight=0.5),
-    )
-    base = disaggregated_cluster(
-        model,
-        num_prefill_pods=num_prefill_pods,
-        num_decode_pods=num_decode_pods,
-        cus_per_pod=cus_per_pod,
-        prefill_policy=PrefillPolicy.PRIORITY,
-        kv_budget_bytes=kv_budget_gb * 1e9,
-    )
-    points = []
-    for scale in load_scales:
-        interactive = RequestGenerator(
-            classes=(TrafficClass(model, prompt_mean=512, decode_mean=256),),
-            rate_rps=2.0 * base_rate_rps * scale,
-            seed=seed + 1,
-        ).generate(duration_s)
-        batch = RequestGenerator(
-            classes=(TrafficClass(model, prompt_mean=1024, decode_mean=4096),),
-            rate_rps=base_rate_rps * scale,
-            seed=seed + 2,
-        ).generate(duration_s)
-        requests = merge_requests(
-            tuple(
-                dataclasses.replace(r, tenant="interactive", priority=2)
-                for r in interactive
-            ),
-            tuple(dataclasses.replace(r, tenant="batch") for r in batch),
-        )
-        for shedding in (False, True):
-            config = dataclasses.replace(
-                base,
-                tenants=tenants,
-                admission=AdmissionConfig(enabled=shedding),
-            )
-            report = simulate(config, requests)
-            for name, tenant in sorted(report.per_tenant().items()):
-                points.append(
-                    TenantContentionPoint(
-                        load_scale=scale,
-                        shedding=shedding,
-                        tenant=name,
-                        offered=tenant.offered,
-                        shed=tenant.shed,
-                        attainment=tenant.attainment,
-                        ttft_p95_s=tenant.ttft_p95_s,
-                        fleet_fairness=report.fairness,
-                    )
-                )
-    return points
-
-
-@dataclass(frozen=True)
-class AutoscalerPoint:
-    """Static vs elastic fleet at one flash-crowd spike multiple."""
-
-    peak_scale: float
-    elastic: bool
-    goodput: float
-    ttft_p95_s: float
-    completed: int
-    scale_ups: int
-    scale_downs: int
-    cost_usd: float
-    usd_per_mtok: float
+    rows = Sweep(
+        Scenario(
+            model,
+            prefill_policy=PrefillPolicy.PRIORITY,
+            kv_budget_bytes=3e9,
+        ),
+        {
+            "load_scale": {
+                scale: {"traffic": _contention_roster(duration_s, scale)}
+                for scale in load_scales
+            },
+            "admission.enabled": (False, True),
+        },
+        {
+            "fairness": lambda run: run.report.fairness,
+            "tenants": lambda run: [
+                {
+                    "tenant": name,
+                    "offered": tenant.offered,
+                    "shed": tenant.shed,
+                    "attainment": tenant.attainment,
+                    "ttft_p95_s": tenant.ttft_p95_s,
+                }
+                for name, tenant in sorted(run.report.per_tenant().items())
+            ],
+        },
+    ).run()
+    return [
+        _before_digest(row, tenant) for row in rows for tenant in row.pop("tenants")
+    ]
 
 
 def autoscaler_sweep(
     model: ModelConfig,
     *,
-    peak_scales: tuple[float, ...] = (2.0, 4.0, 8.0),
-    base_rps: float = 0.5,
+    peak_scales: Sequence[float] = (2.0, 4.0, 8.0),
     duration_s: float = 40.0,
-    num_prefill_pods: int = 2,
-    max_decode_pods: int = 4,
-    min_decode_pods: int = 1,
-    cus_per_pod: int = 128,
-    kv_budget_gb: float = 3.0,
-    seed: int = 0,
-) -> list[AutoscalerPoint]:
-    """Static peak-provisioned fleet vs an elastic fleet on the same
-    flash-crowd trace, at each spike multiple.
+) -> list[Row]:
+    """A static fleet of four decode pods vs an elastic one (one to four)
+    on the same 0.5 RPS flash-crowd trace, at each spike multiple.
 
-    The static fleet keeps ``max_decode_pods`` active for the whole run
-    and pays for them; the elastic fleet starts at ``min_decode_pods``,
-    scales up through the spike on the control-loop tick, and drains
-    back down afterwards.  Goodput should stay comparable while the
-    elastic fleet's $/1e6-token cost drops -- the fleet-operations
-    argument for the autoscaler.
+    The elastic fleet starts at the floor, scales up through the spike
+    and drains back down afterwards, so goodput stays comparable while
+    its $/1e6-token cost drops.
     """
-    points = []
-    for peak in peak_scales:
-        trace = ArrivalTrace.flash_crowd(
-            base_rps,
-            duration_s,
-            peak_rps=base_rps * peak,
-            seed=seed,
-        )
-        requests = RequestGenerator(
-            classes=(reasoning_traffic(model),), seed=seed
-        ).replay(trace)
-        static = disaggregated_cluster(
-            model,
-            num_prefill_pods=num_prefill_pods,
-            num_decode_pods=max_decode_pods,
-            cus_per_pod=cus_per_pod,
-            kv_budget_bytes=kv_budget_gb * 1e9,
-        )
-        elastic = dataclasses.replace(
-            disaggregated_cluster(
-                model,
-                num_prefill_pods=num_prefill_pods,
-                num_decode_pods=min_decode_pods,
-                cus_per_pod=cus_per_pod,
-                kv_budget_bytes=kv_budget_gb * 1e9,
-            ),
-            autoscaler=AutoscalerConfig(
-                min_decode_pods=min_decode_pods,
-                max_decode_pods=max_decode_pods,
-                min_prefill_pods=num_prefill_pods,
-                max_prefill_pods=num_prefill_pods,
-            ),
-        )
-        for is_elastic, config in ((False, static), (True, elastic)):
-            report = simulate(config, requests)
-            ups = sum(
-                1 for e in report.scaling_events if e.action == "up"
-            )
-            downs = sum(
-                1 for e in report.scaling_events if e.action == "down"
-            )
-            points.append(
-                AutoscalerPoint(
-                    peak_scale=peak,
-                    elastic=is_elastic,
-                    goodput=report.goodput,
-                    ttft_p95_s=report.ttft_percentile(95),
-                    completed=len(report.completed),
-                    scale_ups=ups,
-                    scale_downs=downs,
-                    cost_usd=report.cost_usd,
-                    usd_per_mtok=report.usd_per_mtok,
-                )
-            )
-    return points
+
+    def count(action: str) -> Metric:
+        return lambda run: sum(1 for e in run.report.scaling_events if e.action == action)
+
+    return Sweep(
+        Scenario(model, traffic=_reasoning(model, duration_s), kv_budget_bytes=3e9),
+        {
+            "peak_scale": {
+                peak: {
+                    "traffic.trace": ArrivalTrace.flash_crowd(
+                        0.5, duration_s, peak_rps=0.5 * peak, seed=0
+                    )
+                }
+                for peak in peak_scales
+            },
+            "elastic": {
+                False: {"decode": _rpu(4)},
+                True: {
+                    "decode": _rpu(1),
+                    "autoscaler": AutoscalerConfig(
+                        min_decode_pods=1,
+                        max_decode_pods=4,
+                        min_prefill_pods=2,
+                        max_prefill_pods=2,
+                    ),
+                },
+            },
+        },
+        {
+            "goodput": lambda run: run.report.goodput,
+            "ttft_p95_s": lambda run: run.report.ttft_percentile(95),
+            "completed": _completed,
+            "scale_ups": count("up"),
+            "scale_downs": count("down"),
+            **_report("cost_usd", "usd_per_mtok"),
+        },
+    ).run()
 
 
-@dataclass(frozen=True)
-class SpecDecPoint:
-    """The fleet with speculative decoding at one acceptance rate."""
-
-    #: Tokens accepted per window (0.0 marks the no-specdec baseline).
-    accepted_per_window: float
-    lookahead: int
-    goodput: float
-    tokens_per_s: float
-    #: Decode tokens delivered per decode-pod busy second -- the
-    #: saturation-proof rate specdec actually lifts (wall-clock rates
-    #: flatten once the fleet is arrival-bound).
-    effective_decode_tokens_per_s: float
-    #: ``effective_decode_tokens_per_s`` over the baseline point's.
-    speedup: float
-    energy_per_token_j: float
-    completed: int
+def effective_decode_rate(report: ClusterReport) -> float:
+    """Goodput-weighted decode tokens per decode-pod busy second -- the
+    saturation-proof rate speculation lifts even when wall-clock
+    throughput is arrival-bound."""
+    busy = sum(p.busy_s for p in report.pod_stats if p.kind == "decode")
+    if busy <= 0.0:
+        return 0.0
+    return report.goodput * report.decode_tokens / busy
 
 
 def specdec_acceptance_sweep(
     model: ModelConfig,
     *,
-    accepted: tuple[float, ...] = (2.0, 3.0, 4.6, 6.0),
-    lookahead: int = 8,
-    rate_rps: float = 2.0,
+    accepted: Sequence[float] = (2.0, 3.0, 4.6, 6.0),
     duration_s: float = 30.0,
-    num_prefill_pods: int = 2,
-    num_decode_pods: int = 2,
-    cus_per_pod: int = 128,
-    seed: int = 0,
-) -> list[SpecDecPoint]:
-    """Fleet throughput vs speculative acceptance rate, on identical
-    reasoning traffic at equal KV budget.
+) -> list[Row]:
+    """Fleet throughput vs speculative acceptance rate on identical
+    2 RPS reasoning traffic at equal KV budget.
 
-    The first returned point is the no-specdec baseline
-    (``accepted_per_window=0.0``, ``speedup=1.0``); each following
-    point runs the same arrivals with draft/verify speculation at that
-    acceptance rate (colocated draft, draft-KV headroom charged).
-    Effective decode throughput scales with
-    :func:`repro.specdec.speculative_speedup` until queueing slack,
-    the draft tax and the KV headroom eat into it -- the fleet-level
-    face of the paper's ~1.8x operating point.
+    The first row is the no-specdec baseline (``accepted_per_window``
+    0.0, ``lookahead`` 0); each following row runs lookahead-8
+    draft/verify speculation at that acceptance rate (colocated draft,
+    draft-KV headroom charged).  ``speedup`` is each row's
+    ``effective_decode_tokens_per_s`` over the baseline's (1.0 on the
+    baseline row, 0.0 when the baseline decoded nothing).
     """
-    from repro.specdec import SpecDecConfig, SpeculativeConfig
-
-    requests = _traffic(model, rate_rps, seed, ArrivalProcess.POISSON, duration_s)
-    config = disaggregated_cluster(
-        model,
-        num_prefill_pods=num_prefill_pods,
-        num_decode_pods=num_decode_pods,
-        cus_per_pod=cus_per_pod,
-    )
-
-    def effective(report: ClusterReport) -> float:
-        busy = sum(
-            p.busy_s for p in report.pod_stats if p.kind == "decode"
-        )
-        if busy <= 0.0:
-            return 0.0
-        return report.goodput * report.decode_tokens / busy
-
-    baseline = simulate(config, requests)
-    base_rate = effective(baseline)
-    points = [
-        SpecDecPoint(
-            accepted_per_window=0.0,
-            lookahead=0,
-            goodput=baseline.goodput,
-            tokens_per_s=baseline.tokens_per_s,
-            effective_decode_tokens_per_s=base_rate,
-            speedup=1.0,
-            energy_per_token_j=baseline.energy_per_token_j,
-            completed=len(baseline.completed),
-        )
+    rows = Sweep(
+        Scenario(model, traffic=_reasoning(model, duration_s, 2.0)),
+        {
+            "accepted_per_window": {
+                0.0: {},
+                **{
+                    accept: {
+                        "specdec": SpecDecConfig(
+                            speculation=SpeculativeConfig(
+                                lookahead=8, accepted_per_window=accept
+                            )
+                        )
+                    }
+                    for accept in accepted
+                },
+            }
+        },
+        {
+            "lookahead": lambda run: (
+                run.scenario.specdec.speculation.lookahead if run.scenario.specdec else 0
+            ),
+            **_report("goodput", "tokens_per_s"),
+            "effective_decode_tokens_per_s": lambda run: effective_decode_rate(run.report),
+            **_report("energy_per_token_j"),
+            "completed": _completed,
+        },
+    ).run()
+    base, *speculative = rows
+    base_rate = base["effective_decode_tokens_per_s"]
+    speedups = [1.0] + [
+        row["effective_decode_tokens_per_s"] / base_rate if base_rate > 0.0 else 0.0
+        for row in speculative
     ]
-    for accept in accepted:
-        specdec = SpecDecConfig(
-            speculation=SpeculativeConfig(
-                lookahead=lookahead, accepted_per_window=accept
-            )
-        )
-        report = simulate(
-            dataclasses.replace(config, specdec=specdec), requests
-        )
-        rate = effective(report)
-        points.append(
-            SpecDecPoint(
-                accepted_per_window=accept,
-                lookahead=lookahead,
-                goodput=report.goodput,
-                tokens_per_s=report.tokens_per_s,
-                effective_decode_tokens_per_s=rate,
-                speedup=rate / base_rate if base_rate > 0.0 else 0.0,
-                energy_per_token_j=report.energy_per_token_j,
-                completed=len(report.completed),
-            )
-        )
-    return points
+    return [_before_digest(row, {"speedup": x}) for row, x in zip(rows, speedups)]

@@ -58,12 +58,17 @@ class NxfpCodec:
         scales = power_of_two_scale(block_max, self.element_spec.max_value)
 
         # Microexponent: how many extra power-of-two steps each sub-block
-        # can afford to scale down (its max is that much quieter).
+        # can afford to scale down (its max is that much quieter).  The
+        # ratio is formed in float64: a float32 scale near 2**127 times
+        # the element max, or any scale over a subnormal sub-block max,
+        # overflows float32 (float64 holds every such ratio).
         sub_max = np.abs(subs).max(axis=2)
         safe_sub = np.where(sub_max > 0, sub_max, block_max[:, None])
         safe_sub = np.where(safe_sub > 0, safe_sub, 1.0)
         headroom = np.floor(
-            np.log2(scales[:, None] * self.element_spec.max_value / safe_sub)
+            np.log2(
+                scales[:, None].astype(np.float64) * self.element_spec.max_value / safe_sub
+            )
         )
         offsets = np.clip(headroom, 0, self.max_offset).astype(np.int8)
 
@@ -92,8 +97,11 @@ class NxfpCodec:
         sub_scales = encoded.scales[:, None] * np.exp2(
             -encoded.extra["offsets"].astype(np.float32)
         )
-        blocks = (subs * sub_scales[:, :, None]).reshape(num_blocks, self.block_size)
-        return from_blocks(blocks, encoded.shape)
+        # A block max near the float32 limit can round its largest element
+        # up past it; saturate there instead of overflowing to inf.
+        limit = np.finfo(np.float32).max
+        blocks = np.clip(subs.astype(np.float64) * sub_scales[:, :, None], -limit, limit)
+        return from_blocks(blocks.reshape(num_blocks, self.block_size), encoded.shape)
 
     def quantize(self, values: np.ndarray) -> np.ndarray:
         """Round-trip convenience: decode(encode(values))."""

@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from repro.analysis.cluster_sweep import fleet_layout_comparison, gpu_vs_disaggregated
-from repro.analysis.perf_model import system_for
+from repro.analysis.perf_model import iso_tdp_system, system_for
 from repro.api import (
     SCENARIOS,
     PodGroup,
@@ -22,8 +22,10 @@ from repro.platform import GpuPlatform, RpuPlatform, build_platform
 from repro.serving.cluster import (
     ClusterConfig,
     DecodePodSpec,
+    gpu_only_cluster,
     simulate,
 )
+from repro.serving.engine import report_digest
 from repro.serving.requests import RequestGenerator, reasoning_traffic
 from repro.serving.scheduler import Reservation
 
@@ -39,40 +41,53 @@ def reasoning_spec(rate_rps=1.0, duration_s=20.0, seed=0):
 
 
 class TestIsoTdpParity:
-    """Scenario.run() must reproduce the pre-refactor
-    gpu_vs_disaggregated numbers -- the new API pinned to the old."""
+    """The gpu_vs_disaggregated study (Scenario-built fleets) must
+    reproduce fleets hand-built with the pre-platform builders
+    (gpu_only_cluster, iso_tdp_system, ClusterConfig) on the same
+    reasoning arrivals."""
 
     @pytest.fixture(scope="class")
     def versus(self):
-        return gpu_vs_disaggregated(LLAMA3_70B, rate_rps=1.0, duration_s=20.0)
+        rows = gpu_vs_disaggregated(LLAMA3_70B, rate_rps=1.0, duration_s=20.0)
+        return {row["fleet"]: row for row in rows}
 
-    def test_disaggregated_fleet_matches(self, versus):
-        report = Scenario(
-            model=LLAMA3_70B,
-            traffic=reasoning_spec(),
-            prefill=(PodGroup("gpu", count=2),),
-            decode=(PodGroup("rpu_iso_tdp", count=2, options={"gpus": 2}),),
-        ).run()
-        assert report.goodput == pytest.approx(versus.disaggregated.goodput)
-        assert report.tokens_per_s == pytest.approx(
-            versus.disaggregated.tokens_per_s, rel=1e-9
+    @pytest.fixture(scope="class")
+    def requests(self):
+        return RequestGenerator(
+            classes=(reasoning_traffic(LLAMA3_70B),), rate_rps=1.0, seed=0
+        ).generate(20.0)
+
+    def test_disaggregated_fleet_matches(self, versus, requests):
+        gpu_pod = GpuSystem(count=2)
+        rpu_pod = iso_tdp_system(
+            gpu_pod, Workload(LLAMA3_70B, batch_size=32, seq_len=8192)
         )
+        config = ClusterConfig(
+            prefill_engines=gpu_only_cluster(LLAMA3_70B).prefill_engines,
+            decode_pods=(DecodePodSpec(RpuPlatform(rpu_pod), LLAMA3_70B),) * 2,
+        )
+        report = simulate(config, requests)
+        row = versus["disaggregated"]
+        assert report.goodput == pytest.approx(row["goodput"])
+        assert report.tokens_per_s == pytest.approx(row["tokens_per_s"], rel=1e-9)
         assert report.total_energy_j == pytest.approx(
-            versus.disaggregated.total_energy_j, rel=1e-9
+            row["total_energy_j"], rel=1e-9
         )
+        assert report_digest(report) == row["digest"]
+        assert row["decode_pod_cus"] == rpu_pod.num_cus
+        assert row["decode_pod_tdp_w"] == pytest.approx(RpuPlatform(rpu_pod).tdp_w)
+        assert row["decode_pod_tdp_w"] <= gpu_pod.tdp_w
+        assert versus["gpu_only"]["decode_pod_tdp_w"] == pytest.approx(gpu_pod.tdp_w)
 
-    def test_gpu_only_fleet_matches(self, versus):
-        report = Scenario(
-            model=LLAMA3_70B,
-            traffic=reasoning_spec(),
-            prefill=(PodGroup("gpu", count=2),),
-            decode=(PodGroup("gpu", count=2),),
-            colocated=True,
-        ).run()
-        assert report.goodput == pytest.approx(versus.gpu_only.goodput)
-        assert report.tokens_per_s == pytest.approx(
-            versus.gpu_only.tokens_per_s, rel=1e-9
+    def test_gpu_only_fleet_matches(self, versus, requests):
+        config = gpu_only_cluster(
+            LLAMA3_70B, num_prefill_pods=2, num_decode_pods=2, gpus_per_decode=2
         )
+        report = simulate(config, requests)
+        row = versus["gpu_only"]
+        assert report.goodput == pytest.approx(row["goodput"])
+        assert report.tokens_per_s == pytest.approx(row["tokens_per_s"], rel=1e-9)
+        assert report_digest(report) == row["digest"]
 
     def test_raw_system_config_matches_platform_config(self):
         """The deprecation shim (raw engines) and the platform path
@@ -160,14 +175,30 @@ class TestHybridFleets:
                 build_platform("h100"),
             ),
         }
-        reports = fleet_layout_comparison(
+        rows = fleet_layout_comparison(
             LLAMA3_70B, layouts, rate_rps=0.5, duration_s=8.0
         )
+        reports = {row["layout"]: row for row in rows}
         assert set(reports) == {"rpu-only", "mixed"}
         for report in reports.values():
-            assert report.num_submitted == len(
-                reports["rpu-only"].completed
-            ) + len(reports["rpu-only"].rejected)
+            assert report["num_submitted"] == (
+                reports["rpu-only"]["completed"] + reports["rpu-only"]["rejected"]
+            )
+
+    def test_fleet_layout_comparison_wraps_raw_systems(self):
+        """Raw GpuSystem/RpuSystem pods are coerced to platforms."""
+        rows = fleet_layout_comparison(
+            LLAMA3_70B,
+            {
+                "raw": (GpuSystem(count=2),),
+                "platform": (GpuPlatform(GpuSystem(count=2)),),
+            },
+            rate_rps=0.5,
+            duration_s=4.0,
+        )
+        raw, platform = rows
+        assert raw["digest"] == platform["digest"]
+        assert raw["completed"] > 0
 
 
 class TestPresets:

@@ -120,6 +120,24 @@ class TestProperties:
         out = NxfpCodec().quantize(x)
         assert out.shape == x.shape
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "loud, quiet, quiet_at",
+        [(1.0, 1e-45, 1), (1.0, 1e-45, 8), (3e38, 1.0, 1), (3e38, 1.0, 8)],
+    )
+    def test_nxfp_extreme_block_does_not_overflow(self, loud, quiet, quiet_at):
+        """A subnormal next to a normal value, or a value near the float32
+        limit, must overflow neither the microexponent headroom nor the
+        decode; quiet_at=8 puts the quiet value in its own sub-block."""
+        x = np.zeros(32, np.float32)
+        x[0], x[quiet_at] = loud, quiet
+        codec = NxfpCodec()
+        offsets = codec.encode(x).extra["offsets"]
+        assert offsets.min() >= 0 and offsets.max() <= codec.max_offset
+        out = codec.quantize(x)
+        assert np.all(np.isfinite(out))
+        assert out[0] == pytest.approx(loud, rel=0.25)
+
     def test_nxfp_missing_offsets_rejected(self):
         codec = NxfpCodec()
         enc = codec.encode(np.ones(32, np.float32))
