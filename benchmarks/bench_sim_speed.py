@@ -17,6 +17,10 @@ traces' duration (rates, tenants, policies untouched):
 - full: ``REPRO_SIM_SPEED_FULL=1`` -- the 100k-request pinned run the
   committed JSON is produced from (several minutes: it runs the
   reference simulator too).
+
+Only a full run writes ``BENCH_sim_speed.json``: a smoke run checks the
+same claims at its own floor and prints its table, but must never
+replace the full-scale record.
 """
 
 import dataclasses
@@ -181,12 +185,14 @@ def test_sim_speed(benchmark):
     table.add_row(["trace overhead", f"{trace_overhead:.3f}x"])
     table.add_row(["report digest", digest[:16]])
     emit(table)
+    if not FULL:
+        return
 
     write_bench_json(
         JSON_PATH,
         "sim_speed",
         config={
-            "mode": "full" if FULL else "smoke",
+            "mode": "full",
             "scale": scale,
             "min_speedup": floor,
             "max_trace_overhead": MAX_TRACE_OVERHEAD,

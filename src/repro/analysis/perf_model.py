@@ -21,6 +21,8 @@ agreement within ~10%).
 from __future__ import annotations
 
 import math
+import os
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.arch.power import decode_tdp_per_cu, memory_path_pj_per_bit
@@ -36,11 +38,21 @@ from repro.gpu.system import GpuSystem
 from repro.memory.sku import sku_for_system
 from repro.models.flops import (
     KernelKind,
+    KernelProfile,
+    _layer_kernels,
+    _lm_head,
     decode_step_layer_values,
     step_arithmetic_intensity,
 )
 from repro.models.workload import Workload
 from repro.quant.stream_decoder import StreamDecoder
+
+try:  # optional: only the row variant of the decode model uses numpy
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised via REPRO_NO_NUMPY
+    _np = None
+if os.environ.get("REPRO_NO_NUMPY"):
+    _np = None
 
 _PJ = 1e-12
 
@@ -91,22 +103,14 @@ class RpuPerfResult:
         return 1.0 / self.latency_s if self.latency_s else 0.0
 
 
-def decode_step_perf(
-    system: RpuSystem,
-    workload: Workload,
-    *,
-    decoupled: bool = True,
-    check_capacity: bool = True,
-) -> RpuPerfResult:
-    """Analytical latency/energy of one decode step on ``system``."""
-    if check_capacity and not system.fits(workload.memory_footprint_bytes()):
-        raise ValueError(
-            f"{system} cannot hold {workload} "
-            f"({workload.memory_footprint_bytes() / 1e9:.1f} GB)"
-        )
-    # Value-identical to decode_step_profile, but layers sharing an
-    # attention span reuse one kernel list -- same reduction, far fewer
-    # kernel objects built per evaluated shape.
+def _kernel_deriver(
+    system: RpuSystem, workload: Workload, maximum: Callable
+) -> Callable[[list[KernelProfile]], list[tuple]]:
+    """Per-kernel pipeline times and energy inputs of one layer's kernel
+    list, as 9-tuples ``(mem, comp, net, coupled, flops, hbm,
+    collective, weight+kv, act)``.  ``maximum`` is ``max`` for scalar
+    kernels and ``numpy.maximum`` for array-valued (row) kernels; either
+    way each element sees the same IEEE operation sequence."""
     num_cores = system.num_cores
     core = system.cu.core
     core_bw = core.mem_bandwidth_bytes_per_s
@@ -117,11 +121,7 @@ def decode_step_perf(
     kv_heads = workload.model.attention.num_kv_heads
     gqa_span = max(1, min(system.num_cus, system.num_cus // kv_heads or 1))
 
-    def derive(kernels: list) -> list[tuple]:
-        """Per-kernel derived quantities for one layer's kernel list.
-        Identical layer lists derive to identical rows, so rows computed
-        once per distinct list feed the accumulation below with the
-        exact float sequence the flat per-kernel loop produced."""
+    def derive(kernels: list[KernelProfile]) -> list[tuple]:
         rows = []
         for kernel in kernels:
             mem_k = kernel.hbm_bytes / num_cores / core_bw
@@ -132,7 +132,7 @@ def decode_step_perf(
                 # Compressed weights rate-limit the front-end via the
                 # decoder; KV traffic feeds the TMACs directly over the
                 # compute bus.
-                comp_k = max(comp_k, kernel.weight_bytes / num_cores / decoder_bw)
+                comp_k = maximum(comp_k, kernel.weight_bytes / num_cores / decoder_bw)
 
             net_k = 0.0
             if kernel.collective_bytes > 0:
@@ -151,7 +151,7 @@ def decode_step_perf(
                 mem_k,
                 comp_k,
                 net_k,
-                max(mem_k, comp_k) + net_k,
+                maximum(mem_k, comp_k) + net_k,
                 kernel.flops,
                 kernel.hbm_bytes,
                 kernel.collective_bytes,
@@ -160,6 +160,60 @@ def decode_step_perf(
             ))
         return rows
 
+    return derive
+
+
+def _step_energies(
+    system: RpuSystem,
+    latency,
+    flops_total,
+    hbm_total,
+    net_payload_total,
+    wkv_bytes_total,
+    act_bytes_total,
+) -> tuple:
+    """(memory, compute, network, static) energy of one step, whole
+    system -- the simulator's energy-meter coefficients.  Pure
+    arithmetic, so float and array totals evaluate alike."""
+    epb_mem = memory_path_pj_per_bit(system.cu)
+    energy_mem = hbm_total * 8 * epb_mem * _PJ
+    weight_bits = wkv_bytes_total * 8
+    energy_comp = (
+        flops_total * ENERGY.tmac_pj_per_flop * _PJ
+        + weight_bits * (ENERGY.sram_read_pj_per_bit + ENERGY.stream_decode_pj_per_bit) * _PJ
+        + act_bytes_total * 8 * ENERGY.sram_write_pj_per_bit * _PJ
+    )
+    energy_net = (
+        net_payload_total
+        * system.num_cus  # payload crosses every CU's link once
+        * 8
+        * (ENERGY.ucie_in_package_pj_per_bit + ENERGY.sram_write_pj_per_bit)
+        * _PJ
+    )
+    energy_static = CU_STATIC_POWER_W * system.num_cus * latency
+    return energy_mem, energy_comp, energy_net, energy_static
+
+
+def decode_step_perf(
+    system: RpuSystem,
+    workload: Workload,
+    *,
+    decoupled: bool = True,
+    check_capacity: bool = True,
+) -> RpuPerfResult:
+    """Analytical latency/energy of one decode step on ``system``."""
+    if check_capacity and not system.fits(workload.memory_footprint_bytes()):
+        raise ValueError(
+            f"{system} cannot hold {workload} "
+            f"({workload.memory_footprint_bytes() / 1e9:.1f} GB)"
+        )
+    # Value-identical to decode_step_profile, but layers sharing an
+    # attention span reuse one kernel list -- same reduction, far fewer
+    # kernel objects built per evaluated shape.  Identical layer lists
+    # derive to identical rows, so rows computed once per distinct list
+    # feed the accumulation below with the exact float sequence the
+    # flat per-kernel loop produced.
+    derive = _kernel_deriver(system, workload, max)
     layer_lists = decode_step_layer_values(workload)
     derived: dict[int, list[tuple]] = {}
 
@@ -189,25 +243,15 @@ def decode_step_perf(
             act_bytes_total += act
 
     latency = max(t_mem, t_comp, t_net) if decoupled else t_coupled
-
-    # Energy (whole system, one step) -- same coefficients as the
-    # simulator's energy meters.
-    epb_mem = memory_path_pj_per_bit(system.cu)
-    energy_mem = hbm_total * 8 * epb_mem * _PJ
-    weight_bits = wkv_bytes_total * 8
-    energy_comp = (
-        flops_total * ENERGY.tmac_pj_per_flop * _PJ
-        + weight_bits * (ENERGY.sram_read_pj_per_bit + ENERGY.stream_decode_pj_per_bit) * _PJ
-        + act_bytes_total * 8 * ENERGY.sram_write_pj_per_bit * _PJ
+    energy_mem, energy_comp, energy_net, energy_static = _step_energies(
+        system,
+        latency,
+        flops_total,
+        hbm_total,
+        net_payload_total,
+        wkv_bytes_total,
+        act_bytes_total,
     )
-    energy_net = (
-        net_payload_total
-        * system.num_cus  # payload crosses every CU's link once
-        * 8
-        * (ENERGY.ucie_in_package_pj_per_bit + ENERGY.sram_write_pj_per_bit)
-        * _PJ
-    )
-    energy_static = CU_STATIC_POWER_W * system.num_cus * latency
 
     return RpuPerfResult(
         latency_s=latency,
@@ -218,6 +262,87 @@ def decode_step_perf(
         comp_utilization=(
             min(flops_total / (system.peak_flops * latency), 1.0) if latency else 0.0
         ),
+        energy_mem_j=energy_mem,
+        energy_comp_j=energy_comp,
+        energy_net_j=energy_net,
+        energy_static_j=energy_static,
+        num_cus=system.num_cus,
+    )
+
+
+def decode_step_perf_row(
+    system: RpuSystem, workload: Workload, seq_lens: Sequence[int]
+) -> RpuPerfResult | None:
+    """:func:`decode_step_perf` at every context in ``seq_lens`` from one
+    numpy pass (decoupled, no capacity check): an :class:`RpuPerfResult`
+    whose float fields are float64 arrays, element ``i`` bit-identical
+    to ``decode_step_perf(system, workload.with_seq_len(seq_lens[i]),
+    check_capacity=False)``.  ``None`` without numpy.
+
+    Only the attention kernels depend on the context: the kernel
+    builders run once per distinct (local-window, MoE) layer signature
+    with the span as an int64 array, and each kernel's row is added into
+    one ``(9, n)`` accumulator in layer order -- per element, the scalar
+    path's sequence of float additions."""
+    if _np is None:
+        return None
+    seq = _np.asarray(seq_lens, dtype=_np.int64)
+    n = len(seq)
+    model = workload.model
+    attn = model.attention
+    tokens = workload.batch_size
+    derive = _kernel_deriver(system, workload, _np.maximum)
+
+    def blocks_of(kernels: list[KernelProfile]) -> list:
+        """Each kernel's 9-tuple as a ``(9, n)`` block (scalar fields
+        broadcast along the row)."""
+        blocks = []
+        for row in derive(kernels):
+            block = _np.empty((9, n))
+            for i, value in enumerate(row):
+                block[i] = value
+            blocks.append(block)
+        return blocks
+
+    by_signature: dict[tuple[bool, bool], list] = {}
+    layer_blocks: list[list] = []
+    for layer in range(model.num_layers):
+        is_global = attn.is_global_layer(layer)
+        signature = (is_global, model.is_moe_layer(layer))
+        blocks = by_signature.get(signature)
+        if blocks is None:
+            span = seq if is_global else _np.minimum(seq, attn.local_window)
+            blocks = blocks_of(_layer_kernels(workload, layer, tokens, span=span))
+            by_signature[signature] = blocks
+        layer_blocks.append(blocks)
+    layer_blocks.append(blocks_of([_lm_head(workload, tokens)]))
+
+    # A kernel without a collective adds 0.0 to the payload total, an
+    # exact identity, where the scalar path skips the add.
+    acc = _np.zeros((9, n))
+    for blocks in layer_blocks:
+        for block in blocks:
+            acc += block
+    (t_mem, t_comp, t_net, _, flops_total, hbm_total, net_payload_total,
+     wkv_bytes_total, act_bytes_total) = acc
+
+    latency = _np.maximum(_np.maximum(t_mem, t_comp), t_net)
+    energy_mem, energy_comp, energy_net, energy_static = _step_energies(
+        system,
+        latency,
+        flops_total,
+        hbm_total,
+        net_payload_total,
+        wkv_bytes_total,
+        act_bytes_total,
+    )
+    return RpuPerfResult(
+        latency_s=latency,
+        t_mem_s=t_mem,
+        t_comp_s=t_comp,
+        t_net_s=t_net,
+        mem_bw_utilization=_np.minimum(t_mem / latency, 1.0),
+        comp_utilization=_np.minimum(flops_total / (system.peak_flops * latency), 1.0),
         energy_mem_j=energy_mem,
         energy_comp_j=energy_comp,
         energy_net_j=energy_net,

@@ -62,18 +62,20 @@ class KernelProfile:
 
 
 def _attention_kernels(
-    workload: Workload, layer: int, tokens_per_query: int
+    workload: Workload, layer: int, tokens_per_query: int, span=None
 ) -> list[KernelProfile]:
     """SDPA kernels for one layer: QK^T, softmax, s(QK)V.
 
     ``tokens_per_query`` is 1 during decode; during prefill, attention
     flops scale with the full query length (handled by the caller passing
-    the chunk length).
+    the chunk length).  ``span`` overrides the layer's attention span;
+    an int64 array of spans yields array-valued kernel fields, one
+    element per span, each computed with the scalar operation sequence.
     """
     model = workload.model
     attn = model.attention
     batch = workload.batch_size
-    seq = attn.attention_span(layer, workload.seq_len)
+    seq = attn.attention_span(layer, workload.seq_len) if span is None else span
     kvb = workload.kv_dtype.nbytes
     actb = workload.act_dtype.nbytes
 
@@ -114,9 +116,10 @@ def _attention_kernels(
 
 
 def _layer_kernels(
-    workload: Workload, layer: int, tokens: int
+    workload: Workload, layer: int, tokens: int, span=None
 ) -> list[KernelProfile]:
-    """All kernels of one transformer layer processing ``tokens`` new tokens."""
+    """All kernels of one transformer layer processing ``tokens`` new
+    tokens (``span``: see :func:`_attention_kernels`)."""
     model = workload.model
     attn = model.attention
     h = model.hidden_size
@@ -155,7 +158,11 @@ def _layer_kernels(
     kernels.append(
         vop("rotary", 10.0 * tokens * (attn.q_dim + attn.kv_dim), tokens * attn.q_dim)
     )
-    kernels.extend(_attention_kernels(workload, layer, tokens_per_query=tokens // workload.batch_size))
+    kernels.extend(
+        _attention_kernels(
+            workload, layer, tokens_per_query=tokens // workload.batch_size, span=span
+        )
+    )
     kernels.append(linear("wO", attn.q_dim, h, broadcast=False))
     kernels.append(vop("rmsnorm_mlp", 5.0 * tokens * h, tokens * h))
 

@@ -33,6 +33,8 @@ from typing import TYPE_CHECKING
 from repro.models.dtypes import DType
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     from repro.models.config import ModelConfig
     from repro.models.workload import Workload
 
@@ -110,6 +112,16 @@ class Platform(abc.ABC):
         the *reserved* footprint; the evaluated batch-mean point may
         transiently overshoot it).
         """
+
+    def decode_step_row(
+        self, workload: "Workload", seq_lens: "Sequence[int]"
+    ) -> "list[StepCost] | None":
+        """``decode_step(workload.with_seq_len(s), check_capacity=False)``
+        for every ``s`` in ``seq_lens``, bit-identical, from one
+        vectorized evaluation -- or ``None`` when the platform has no
+        such path (the default), in which case callers use
+        :meth:`decode_step` per context."""
+        return None
 
     # -- KV policy -----------------------------------------------------
     def kv_budget_bytes(self, model: "ModelConfig", weight_dtype: DType) -> float:

@@ -18,9 +18,10 @@ operating point.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.analysis.perf_model import decode_step_perf
+from repro.analysis.perf_model import decode_step_perf, decode_step_perf_row
 from repro.arch.power import cu_power, decode_tdp_per_cu
 from repro.arch.specs import CU_STATIC_POWER_W
 from repro.arch.system import RpuSystem
@@ -91,3 +92,16 @@ class RpuPlatform(Platform):
             latency_s=result.latency_s + self.host_turnaround_s,
             energy_j=result.energy_per_step_j,
         )
+
+    def decode_step_row(
+        self, workload: Workload, seq_lens: Sequence[int]
+    ) -> list[StepCost] | None:
+        result = decode_step_perf_row(self.system, workload, seq_lens)
+        if result is None:
+            return None
+        latencies = (result.latency_s + self.host_turnaround_s).tolist()
+        energies = result.energy_per_step_j.tolist()
+        return [
+            StepCost(latency_s=latency, energy_j=energy)
+            for latency, energy in zip(latencies, energies)
+        ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 # excluded from the pure-Python (REPRO_NO_NUMPY) leg by design
 import numpy as np
 
-from repro.quant.blocks import QuantizedTensor, from_blocks, to_blocks
+from repro.quant.blocks import QuantizedTensor, from_blocks, saturating_product, to_blocks
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class BfpCodec:
             raise ValueError(
                 f"codec mismatch: tensor is {encoded.codec_name}, codec is {self.name}"
             )
-        blocks = encoded.payload.astype(np.float32) * encoded.scales[:, None]
+        blocks = saturating_product(encoded.payload, encoded.scales[:, None])
         return from_blocks(blocks, encoded.shape)
 
     def quantize(self, values: np.ndarray) -> np.ndarray:

@@ -60,6 +60,18 @@ def from_blocks(blocks: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return blocks.reshape(-1)[:size].reshape(shape).astype(np.float32)
 
 
+def saturating_product(values: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Decoded magnitudes ``values * scales``, formed in float64 and
+    saturated at the float32 maximum.  A block max near the float32
+    limit can round its largest element up past it (an E2M1 element of
+    3e38 / 2**126 rounds to 4, and 4 * 2**126 is 2**128); saturate there
+    instead of overflowing to inf.  Below the limit the float64 product
+    of two float32 factors is exact, so :func:`from_blocks`' cast rounds
+    it once, bit-identical to the float32 product."""
+    limit = np.finfo(np.float32).max
+    return np.clip(values.astype(np.float64) * scales, -limit, limit)
+
+
 def power_of_two_scale(block_max: np.ndarray, target_max: float) -> np.ndarray:
     """Power-of-two scale mapping each block's max magnitude into the
     element format's range (E8M0-style shared exponent).

@@ -17,6 +17,7 @@ from repro.quant.blocks import (
     QuantizedTensor,
     from_blocks,
     power_of_two_scale,
+    saturating_product,
     to_blocks,
 )
 from repro.quant.minifloat import (
@@ -57,7 +58,7 @@ class MxfpCodec:
             raise ValueError(
                 f"codec mismatch: tensor is {encoded.codec_name}, codec is {self.name}"
             )
-        blocks = encoded.payload * encoded.scales[:, None]
+        blocks = saturating_product(encoded.payload, encoded.scales[:, None])
         return from_blocks(blocks, encoded.shape)
 
     def quantize(self, values: np.ndarray) -> np.ndarray:

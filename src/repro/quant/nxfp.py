@@ -19,6 +19,7 @@ from repro.quant.blocks import (
     QuantizedTensor,
     from_blocks,
     power_of_two_scale,
+    saturating_product,
     to_blocks,
 )
 from repro.quant.minifloat import FP4_E2M1, MiniFloatSpec, quantize_minifloat
@@ -97,10 +98,7 @@ class NxfpCodec:
         sub_scales = encoded.scales[:, None] * np.exp2(
             -encoded.extra["offsets"].astype(np.float32)
         )
-        # A block max near the float32 limit can round its largest element
-        # up past it; saturate there instead of overflowing to inf.
-        limit = np.finfo(np.float32).max
-        blocks = np.clip(subs.astype(np.float64) * sub_scales[:, :, None], -limit, limit)
+        blocks = saturating_product(subs, sub_scales[:, :, None])
         return from_blocks(blocks.reshape(num_blocks, self.block_size), encoded.shape)
 
     def quantize(self, values: np.ndarray) -> np.ndarray:

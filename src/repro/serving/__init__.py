@@ -44,6 +44,7 @@ from repro.serving.disaggregated import (
 )
 from repro.serving.engine import (
     EventCalendar,
+    report_diff,
     report_digest,
     run_loop,
 )
@@ -130,6 +131,7 @@ __all__ = [
     "gpu_only_cluster",
     "prefix_founders",
     "reasoning_traffic",
+    "report_diff",
     "report_digest",
     "run_loop",
     "sibling_ttft_mean",

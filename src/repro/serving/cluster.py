@@ -350,21 +350,88 @@ class DecodePod:
         cached = self._step_cache.get(key)
         if cached is not None:
             return cached
-        point = Workload(
-            self.model,
-            batch_size=batch_size,
-            seq_len=context_len,
-            decode_len=1,
-            weight_dtype=self.weight_dtype,
-            kv_dtype=self.kv_dtype,
+        if context_len < STEP_CONTEXT_BUCKET and self._fill_step_row(
+            batch_size, context_len
+        ):
+            return self._step_cache[key]
+        step = self.platform.decode_step(
+            self._point(self.model, batch_size, context_len, self.weight_dtype),
+            check_capacity=False,
         )
-        step = self.platform.decode_step(point, check_capacity=False)
         if self.specdec is None:
             cost = (step.latency_s, step.energy_j)
         else:
             cost = self._speculative_cost(self.specdec, batch_size, context_len, step)
         self._step_cache[key] = cost
         return cost
+
+    def _fill_step_row(self, batch_size: int, context_len: int) -> bool:
+        """Memoize every uncached sub-bucket key ``(batch_size, c)``,
+        ``c`` in ``[context_len, STEP_CONTEXT_BUCKET]``, from one
+        :meth:`~repro.platform.base.Platform.decode_step_row` per
+        platform: the batch mean walks up through exact contexts one at
+        a time, so its next misses are in this row.  Row elements are
+        bit-identical to the scalar :meth:`step_cost` path.  Returns
+        ``False`` (nothing filled) when the verify platform -- or, with
+        specdec on, the draft platform -- has no row path."""
+        cache = self._step_cache
+        contexts = [
+            c
+            for c in range(context_len, STEP_CONTEXT_BUCKET + 1)
+            if (batch_size, c) not in cache
+        ]
+        spec = self.specdec
+        drafts: list[StepCost] | None = None
+        if spec is not None:
+            # Drafts first: a split GPU drafter (the paper's placement)
+            # has no row path, and finding that out costs nothing.
+            drafter = self._drafter()
+            drafts = drafter.decode_step_row(
+                self._point(
+                    spec.draft_model, batch_size, context_len, drafter.preferred_weight_dtype
+                ),
+                contexts,
+            )
+            if drafts is None:
+                return False
+        verifies = self.platform.decode_step_row(
+            self._point(self.model, batch_size, context_len, self.weight_dtype), contexts
+        )
+        if verifies is None:
+            return False
+        if spec is None or drafts is None:
+            for c, step in zip(contexts, verifies):
+                cache[(batch_size, c)] = (step.latency_s, step.energy_j)
+        else:
+            sync_s = self._window_sync_s(spec)
+            for c, draft, verify in zip(contexts, drafts, verifies):
+                cache[(batch_size, c)] = spec.effective_step_cost(draft, verify, sync_s=sync_s)
+        return True
+
+    def _point(
+        self, model: ModelConfig, batch_size: int, context_len: int, weight_dtype: DType
+    ) -> Workload:
+        """The one-token decode step a cost is evaluated at."""
+        return Workload(
+            model,
+            batch_size=batch_size,
+            seq_len=context_len,
+            decode_len=1,
+            weight_dtype=weight_dtype,
+            kv_dtype=self.kv_dtype,
+        )
+
+    def _drafter(self) -> Platform:
+        """Where draft steps run: the split draft platform, else this
+        pod's own hardware."""
+        return self.draft_platform if self.draft_platform is not None else self.platform
+
+    def _window_sync_s(self, spec: SpecDecConfig) -> float:
+        """Split placement's per-window token hand-off across the
+        verify platform's ingest link (0 when colocated)."""
+        if self.draft_platform is None:
+            return 0.0
+        return spec.window_sync_s(self.platform.kv_ingest_bytes_per_s)
 
     def _speculative_cost(
         self,
@@ -382,20 +449,12 @@ class DecodePod:
         step.  Split placement also pays the token hand-off across the
         verify platform's ingest link each window.
         """
-        drafter = self.draft_platform if self.draft_platform is not None else self.platform
-        draft_point = Workload(
-            spec.draft_model,
-            batch_size=batch_size,
-            seq_len=context_len,
-            decode_len=1,
-            weight_dtype=drafter.preferred_weight_dtype,
-            kv_dtype=self.kv_dtype,
+        drafter = self._drafter()
+        draft = drafter.decode_step(
+            self._point(spec.draft_model, batch_size, context_len, drafter.preferred_weight_dtype),
+            check_capacity=False,
         )
-        draft = drafter.decode_step(draft_point, check_capacity=False)
-        sync_s = 0.0
-        if self.draft_platform is not None:
-            sync_s = spec.window_sync_s(self.platform.kv_ingest_bytes_per_s)
-        return spec.effective_step_cost(draft, verify, sync_s=sync_s)
+        return spec.effective_step_cost(draft, verify, sync_s=self._window_sync_s(spec))
 
     def outstanding_tokens(self) -> int:
         """Decode tokens still owed to admitted, queued and in-transfer

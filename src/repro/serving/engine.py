@@ -181,10 +181,22 @@ def run_loop(
 # ----------------------------------------------------------------------
 # Equivalence oracle
 # ----------------------------------------------------------------------
-def _record_line(r: "RequestRecord") -> str:
-    """One request's lifecycle, canonically rendered.  ``repr`` on
-    floats is exact (shortest round-trip), so two lines match iff the
-    histories are bit-identical."""
+#: Field names of one lifecycle record, in digest order.
+_RECORD_FIELDS = (
+    "request_id", "arrival_s", "model", "prompt_len", "decode_len",
+    "priority", "prefix_id", "prefix_len", "tenant", "rejected", "shed",
+    "prefill_pod", "decode_pod", "prefill_start_s", "prefill_end_s",
+    "transfer_end_s", "admitted_s", "first_token_s", "completed_s",
+    "num_preemptions", "num_swaps", "cached_prefix_tokens",
+    "resume_tokens", "queue_wait_s",
+)
+
+
+def _record_fields(r: "RequestRecord") -> tuple[str, ...]:
+    """One request's lifecycle, canonically rendered field by field
+    (see :data:`_RECORD_FIELDS`).  ``repr`` on floats is exact
+    (shortest round-trip), so two renderings match iff the histories
+    are bit-identical."""
     q = r.request
     fields = (
         q.request_id, repr(q.arrival_s), q.model.name, q.prompt_len,
@@ -196,7 +208,17 @@ def _record_line(r: "RequestRecord") -> str:
         r.num_preemptions, r.num_swaps, r.cached_prefix_tokens,
         r.resume_tokens, repr(r.queue_wait_s),
     )
-    return "|".join(str(f) for f in fields)
+    return tuple(str(f) for f in fields)
+
+
+def _record_groups(
+    report: "ClusterReport",
+) -> tuple[tuple[str, Sequence["RequestRecord"]], ...]:
+    return (
+        ("completed", report.completed),
+        ("rejected", report.rejected),
+        ("shed", report.shed),
+    )
 
 
 def report_digest(report: "ClusterReport") -> str:
@@ -210,10 +232,60 @@ def report_digest(report: "ClusterReport") -> str:
     accumulated in a different order -- changes the digest.
     """
     h = hashlib.sha256()
-    for group in (report.completed, report.rejected, report.shed):
+    for _, group in _record_groups(report):
         for r in group:
-            h.update(_record_line(r).encode())
+            h.update("|".join(_record_fields(r)).encode())
             h.update(b"\n")
         h.update(b"--\n")
     h.update(json.dumps(report.to_json(), sort_keys=True).encode())
     return h.hexdigest()
+
+
+def report_diff(a: "ClusterReport", b: "ClusterReport") -> str | None:
+    """Where two reports first diverge, or ``None`` when their
+    :func:`report_digest` inputs are identical.
+
+    Records are compared first, group by group in digest order: the
+    first mismatch is named as ``group[index] request_id field: a != b``
+    (``field`` is ``<record count>`` when one group runs out first).
+    With every record equal, the first differing ``to_json()`` key path
+    is named, e.g. ``to_json.pod_stats[1].busy_s: a != b``."""
+    for (group, records_a), (_, records_b) in zip(_record_groups(a), _record_groups(b)):
+        for index, (ra, rb) in enumerate(zip(records_a, records_b)):
+            fa, fb = _record_fields(ra), _record_fields(rb)
+            for name, va, vb in zip(_RECORD_FIELDS, fa, fb):
+                if va != vb:
+                    return f"{group}[{index}] {fa[0]} {name}: {va} != {vb}"
+        if len(records_a) != len(records_b):
+            index = min(len(records_a), len(records_b))
+            extra = (records_a if len(records_a) > index else records_b)[index]
+            return (
+                f"{group}[{index}] {extra.request.request_id} <record count>: "
+                f"{len(records_a)} != {len(records_b)}"
+            )
+    return _json_diff("to_json", a.to_json(), b.to_json())
+
+
+_MISSING = "<missing>"
+
+
+def _json_diff(path: str, a: object, b: object) -> str | None:
+    """First differing key path of two JSON-shaped values (keys in
+    sorted order, as the digest serializes them)."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b), key=str):
+            found = _json_diff(f"{path}.{key}", a.get(key, _MISSING), b.get(key, _MISSING))
+            if found is not None:
+                return found
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for index, (va, vb) in enumerate(zip(a, b)):
+            found = _json_diff(f"{path}[{index}]", va, vb)
+            if found is not None:
+                return found
+        if len(a) != len(b):
+            return f"{path}: length {len(a)} != {len(b)}"
+        return None
+    if json.dumps(a) != json.dumps(b):
+        return f"{path}: {a!r} != {b!r}"
+    return None

@@ -1,18 +1,26 @@
 """Analytical RPU model: paper headline anchors."""
 
+import dataclasses
+
 import pytest
 
+from repro.analysis import perf_model
 from repro.analysis.perf_model import (
     decode_step_perf,
+    decode_step_perf_row,
     iso_tdp_system,
     min_cus_for,
     system_for,
 )
 from repro.gpu.inference import decode_step
 from repro.gpu.system import GpuSystem
+from repro.models.dtypes import DType
 from repro.models.llama3 import LLAMA3_8B, LLAMA3_70B, LLAMA3_405B
 from repro.models.llama4 import LLAMA4_MAVERICK
+from repro.models.registry import MODELS
 from repro.models.workload import Workload
+from repro.platform import GpuPlatform, RpuPlatform
+from repro.serving.cluster import STEP_CONTEXT_BUCKET, ClusterConfig
 
 
 class TestHeadlineLatencies:
@@ -111,3 +119,83 @@ class TestModelStructure:
         floor = min_cus_for(workload)
         system = system_for(floor, workload)
         assert system.fits(workload.memory_footprint_bytes())
+
+
+# ----------------------------------------------------------------------
+# Row variant: one numpy pass per context row, bit-identical elements
+# ----------------------------------------------------------------------
+needs_rows = pytest.mark.skipif(
+    perf_model._np is None, reason="row path needs numpy (off or not installed)"
+)
+
+#: Batches the fleet's lane asks for most (1-4) plus mid and max batch.
+ROW_BATCHES = (1, 2, 3, 7, 64, 128)
+#: Bucket multiples past the sub-bucket range, across Llama4's 8192
+#: local window (``np.minimum`` on local layers).
+ROW_BUCKET_MULTIPLES = (1024, 8192, 8704, 16384, 130560)
+
+
+def _rpu_for(model):
+    sizing = Workload(model, batch_size=32, seq_len=8192)
+    return RpuPlatform(system_for(max(128, min_cus_for(sizing)), sizing))
+
+
+@needs_rows
+class TestDecodeStepRow:
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_row_equals_scalar_platform_step(self, name):
+        """Every element ``==`` the scalar ``RpuPlatform.decode_step``
+        for every registry model (dense, local-window, MoE).  Each
+        (batch, dtype) pair checks every ``len(pairs)``-th sub-bucket
+        context at a distinct offset, so together they cover contexts
+        1-512 exactly once, plus the bucket multiples in every pair."""
+        model = MODELS[name]
+        platform = _rpu_for(model)
+        # The fleet's verify dtype (the cluster default) and its draft
+        # dtype (the platform's preferred one), plus FP8: another
+        # bytes-per-weight and stream-decoder rate.
+        dtypes = dict.fromkeys(
+            (ClusterConfig.weight_dtype, platform.preferred_weight_dtype, DType.FP8)
+        )
+        pairs = [(b, d) for b in ROW_BATCHES for d in dtypes]
+        covered = set()
+        for offset, (batch, dtype) in enumerate(pairs):
+            contexts = list(range(1 + offset, STEP_CONTEXT_BUCKET + 1, len(pairs)))
+            contexts += ROW_BUCKET_MULTIPLES
+            covered.update(contexts)
+            point = Workload(model, batch_size=batch, seq_len=contexts[0],
+                             decode_len=1, weight_dtype=dtype)
+            row = platform.decode_step_row(point, contexts)
+            assert len(row) == len(contexts)
+            for context, step in zip(contexts, row):
+                scalar = platform.decode_step(
+                    point.with_seq_len(context), check_capacity=False
+                )
+                assert step == scalar, (name, batch, dtype, context)
+                assert type(step.latency_s) is float
+        assert covered >= set(range(1, STEP_CONTEXT_BUCKET + 1))
+
+    def test_every_result_field_matches(self):
+        workload = Workload(LLAMA4_MAVERICK, batch_size=3, seq_len=1, decode_len=1)
+        system = _rpu_for(LLAMA4_MAVERICK).system
+        contexts = [1, 2, 511, 512, 8192, 9000]
+        row = decode_step_perf_row(system, workload, contexts)
+        for i, context in enumerate(contexts):
+            scalar = decode_step_perf(
+                system, workload.with_seq_len(context), check_capacity=False
+            )
+            for field in dataclasses.fields(scalar):
+                value = getattr(row, field.name)
+                element = value if field.name == "num_cus" else value[i]
+                assert element == getattr(scalar, field.name), (field.name, context)
+
+    def test_no_row_without_numpy(self, monkeypatch):
+        monkeypatch.setattr(perf_model, "_np", None)
+        point = Workload(LLAMA3_8B, batch_size=1, seq_len=8, decode_len=1)
+        assert _rpu_for(LLAMA3_8B).decode_step_row(point, [8, 9]) is None
+
+
+def test_gpu_decode_has_no_row_path():
+    """GPU decode shrinks each context until it fits: scalar only."""
+    point = Workload(LLAMA3_8B, batch_size=1, seq_len=8, decode_len=1)
+    assert GpuPlatform(GpuSystem(count=2)).decode_step_row(point, [8, 9]) is None

@@ -138,6 +138,31 @@ class TestProperties:
         assert np.all(np.isfinite(out))
         assert out[0] == pytest.approx(loud, rel=0.25)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "codec", [MXFP4, MXFP6, MXFP8, BfpCodec(), BfpCodec(mantissa_bits=8)],
+        ids=lambda c: c.name,
+    )
+    @pytest.mark.parametrize("loud", [3.0e38, float(np.finfo(np.float32).max)])
+    def test_block_near_float32_max_saturates(self, codec, loud):
+        """A block near the float32 limit rounds its largest elements up
+        past it (MXFP4: 3e38 / 2**126 rounds to 4, and 4 * 2**126 is
+        2**128): decode saturates at the float32 maximum, not inf."""
+        for x in (np.full(32, loud, np.float32), np.array([loud, -1.0] * 16, np.float32)):
+            out = codec.quantize(x)
+            assert np.all(np.isfinite(out))
+            assert out[0] == pytest.approx(loud, rel=0.25)
+            assert out.max() <= np.finfo(np.float32).max
+
+    def test_saturation_keeps_in_range_blocks_bit_identical(self):
+        """Below the limit the float64 decode rounds once to the same
+        float32 the direct float32 product gives."""
+        x = np.random.default_rng(7).normal(scale=1e3, size=256).astype(np.float32)
+        for codec in ALL_CODECS[:-1]:
+            enc = codec.encode(x)
+            direct = (enc.payload.astype(np.float32) * enc.scales[:, None]).reshape(-1)
+            assert np.array_equal(codec.decode(enc), direct[: x.size])
+
     def test_nxfp_missing_offsets_rejected(self):
         codec = NxfpCodec()
         enc = codec.encode(np.ones(32, np.float32))

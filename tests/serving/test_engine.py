@@ -21,7 +21,7 @@ from repro.serving.cluster import (
     disaggregated_cluster,
     simulate,
 )
-from repro.serving.engine import EventCalendar, report_digest, run_loop
+from repro.serving.engine import EventCalendar, report_diff, report_digest, run_loop
 from repro.serving.kvstore import SwapPolicy
 from repro.serving.requests import (
     ArrivalTrace,
@@ -554,6 +554,48 @@ class TestDigestPins:
         baseline = report_digest(report)
         report.completed[0].queue_wait_s += 1e-9
         assert report_digest(report) != baseline
+
+
+class TestReportDiff:
+    """``report_diff`` localizes what ``report_digest`` only detects."""
+
+    def _pair(self):
+        config, requests = SCENARIOS["fifo_paged"]()
+        return simulate(config, requests), simulate(config, requests)
+
+    def test_equal_reports(self):
+        a, b = self._pair()
+        assert report_diff(a, b) is None
+
+    def test_names_first_diverging_record_and_field(self):
+        a, b = self._pair()
+        record = b.completed[3]
+        record.queue_wait_s += 1e-9
+        b.completed[5].completed_s += 1.0  # later drift is not reported
+        diff = report_diff(a, b)
+        assert diff is not None
+        assert diff.startswith(
+            f"completed[3] {record.request.request_id} queue_wait_s: "
+        )
+
+    def test_names_missing_record(self):
+        a, b = self._pair()
+        dropped = b.completed[-1]
+        b = dataclasses.replace(b, completed=b.completed[:-1])
+        diff = report_diff(a, b)
+        assert diff == (
+            f"completed[{len(b.completed)}] {dropped.request.request_id} "
+            f"<record count>: {len(a.completed)} != {len(b.completed)}"
+        )
+
+    def test_names_json_key_path(self):
+        a, b = self._pair()
+        pods = list(b.pod_stats)
+        pods[1] = dataclasses.replace(pods[1], busy_s=pods[1].busy_s * 2)
+        b = dataclasses.replace(b, pod_stats=tuple(pods))
+        diff = report_diff(a, b)
+        assert diff is not None
+        assert diff.startswith("to_json.pods[1].busy_s: ")
 
 
 class TestTracedDigestPins:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.models.llama3 import LLAMA3_8B, LLAMA3_70B
 from repro.serving.cluster import ClusterSim, simulate
-from repro.serving.engine import report_digest
+from repro.serving.engine import report_diff, report_digest
 from repro.serving.scheduler import ContinuousBatchScheduler
 from repro.specdec import SpecDecConfig
 from repro.specdec.speculative import SpeculativeConfig
@@ -71,7 +71,7 @@ class TestQuietLaneOracle:
         on = simulate(config, requests)
         _lane_off(monkeypatch)
         off = simulate(config, requests)
-        assert report_digest(on) == report_digest(off)
+        assert report_digest(on) == report_digest(off), report_diff(on, off)
         if name == "tight_pool":  # the case must really preempt
             assert sum(p.preemptions for p in on.pod_stats) > 0
 
