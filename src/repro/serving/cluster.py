@@ -145,9 +145,10 @@ from repro.util.tables import Table
 
 class SimulationIncomplete(RuntimeError):
     """A run ended with work unaccounted for: the prefill service queue
-    did not drain, or some request never reached completed, rejected
-    or shed.  Raised instead of returning a report that silently lacks
-    those requests."""
+    did not drain, some request never reached completed, rejected or
+    shed, or a decode pod's KV ledger or scheduler still holds a
+    sequence's state.  Raised instead of returning a report that
+    silently lacks those requests."""
 
 
 #: Decode-step latency is memoized on context quantized (floored) to this
@@ -1454,6 +1455,55 @@ class ClusterReport:
  _PREFILL_WAKE, _AUTOSCALE, _POD_READY, _TOOL_RESUME) = range(10)
 
 
+class _QuietChain:
+    """A decode pod's run of quiet step boundaries from clock ``t``
+    (:meth:`ClusterSim._quiet_chain`), walked by :meth:`ClusterSim._walk`
+    for the stepping pod and for the other pods alike.  Boundary ``end``
+    is the *trigger*: a sequence finishes there, or a KV block growth
+    would reclaim or preempt."""
+
+    __slots__ = (
+        "t", "steps", "end", "batch", "quotient", "mean", "tie",
+        "cache", "step_cost", "cost", "cost_until",
+        "gheap", "block_tokens", "v", "overhead", "budget", "grown",
+        "occupancy", "busy_s", "energy_j", "kv_occupancy_s",
+    )
+
+    def __init__(
+        self, pod: DecodePod, start: float, end: int, total: int,
+        gheap: list[tuple[int, int, ActiveRequest]] | None,
+    ) -> None:
+        scheduler = pod.scheduler
+        self.t, self.steps, self.end = start, 0, end
+        # ``total`` grows by ``batch`` per boundary, so the rounded batch
+        # mean grows by exactly 1 -- except at an exact .5 remainder,
+        # where round()'s half-even tie-break follows the parity of the
+        # quotient.  (Otherwise the fraction sits >= 1/(2*batch) from .5,
+        # far beyond double rounding error.)
+        self.batch = batch = len(scheduler.active)
+        self.quotient, remainder = divmod(total, batch)
+        self.tie = 2 * remainder == batch
+        self.mean = (
+            self.quotient + (self.quotient & 1) if self.tie
+            else max(1, round(total / batch))
+        )
+        self.cache, self.step_cost = pod._step_cache, pod.step_cost
+        # Run-length cost fetch: ``cost`` holds until the mean reaches
+        # ``cost_until`` (next boundary below STEP_CONTEXT_BUCKET, next
+        # bucket above it).
+        self.cost, self.cost_until = (0.0, 0.0), -1
+        # Growths are checked against a virtual pool ledger ``v``; the
+        # store sees them only once a span commits.
+        self.gheap, self.block_tokens = gheap, scheduler.block_tokens
+        self.v = scheduler.kv_in_use_bytes
+        self.overhead = scheduler.store.resident_overhead_bytes
+        self.budget = scheduler.kv_budget_bytes
+        self.grown: list[ActiveRequest] = []
+        self.occupancy = scheduler.kv_occupancy
+        self.busy_s, self.energy_j = pod.busy_s, pod.energy_j
+        self.kv_occupancy_s = pod.kv_occupancy_s
+
+
 class ClusterSim:
     """Discrete-event simulation of a :class:`ClusterConfig`."""
 
@@ -2346,249 +2396,98 @@ class ClusterSim:
         inside one event, skipping the per-step calendar round-trips.
 
         A step boundary is quiet when nothing observable can happen at
-        it: the cluster prefill queue is empty and nothing was admitted
-        at this boundary (both checked by the caller; admissibility is
-        a pure predicate when it denies, so a blocked pod queue stays
-        blocked at every chained boundary), every running sequence is
-        decoding with its first token already stamped, and no sequence
-        finishes within the span.  A sequence *growing a KV block* stays
-        quiet as long as the block fits the free pool outright (growth
-        boundaries include the speculative draft-token headroom, as in
-        :meth:`ContinuousBatchScheduler._needs_block`) -- the
-        growth is then pure ledger arithmetic, replayed with the exact
-        float-operation order of :meth:`ContinuousBatchScheduler.advance`
-        -- while a growth that would trigger a cache reclaim or a
-        preemption is observable and ends the span just before its
-        boundary.  The chain also
-        stops strictly before the quiet horizon -- the calendar's next
-        event, except that pending steps of *other* provably-quiet
-        decode pods do not cap the span: their chains are walked
-        through to their own first triggers instead
-        (:meth:`_quiet_horizon`), since quiet boundaries of different
-        pods touch disjoint state and commute.  Under those conditions each boundary
-        only accumulates time/energy/occupancy and bumps every
-        sequence's token count -- which this lane performs with the
-        exact per-boundary float-addition order of the single-step
-        path, so run digests are bit-identical.
+        it: the prefill queue is empty and nothing was admitted (both
+        checked by the caller; a blocked pod queue stays blocked, as
+        admissibility is a pure predicate when it denies), every
+        sequence decodes with its first token stamped and no tool-call
+        pause pending, none finishes, and every KV block growth (draft
+        headroom included, as in
+        :meth:`ContinuousBatchScheduler._needs_block`) fits the free
+        pool outright.  A growth that would reclaim or preempt ends the
+        span just before its boundary.
+
+        The span stops strictly before the quiet horizon
+        (:meth:`_quiet_horizon`).  Another quiet pod's pending step caps
+        it only at that pod's own trigger: quiet boundaries of different
+        pods touch disjoint state and commute.  So the lane walks its
+        own chain (:meth:`_walk`) up to the earliest clock among the
+        other pods' chains, advances those that lag, and repeats.  The
+        walk keeps the single-step path's float order, so run digests
+        are bit-identical; tokens and block growths commit at the end.
 
         Returns True when it handled the step chain (the next ``_STEP``
         event is already scheduled); False to fall back to the
         single-step path.
         """
-        scheduler = pod.scheduler
-        active = scheduler.active
-        paged = scheduler.reservation is Reservation.PAGED
-        block_tokens = scheduler.block_tokens
-        # Boundaries until some sequence finishes; boundary i is quiet
-        # iff i < quiet (block growth is carried inside the span, see
-        # below).
-        boundaries = 1 << 60
-        total = 0  # summed context_len, for the batch-mean step cost
-        for entry in active:
-            if entry.prefill_remaining > 0 or entry.first_token_s is None:
-                return False
-            if entry.pauses_taken < len(entry.request.tool_pauses):
-                # A pending tool-call pause is an observable boundary
-                # the walkers cannot predict.
-                return False
-            request = entry.request
-            done = entry.tokens_done
-            quiet = request.decode_len - done - 1  # finishes at this one
-            if quiet < boundaries:
-                boundaries = quiet
-            total += request.prompt_len + done + 1
-        if boundaries < 2:
+        chain = self._quiet_chain(pod, now)
+        if chain is None or chain.end < 2:
             return False  # nothing to batch over the single-step path
         bound, walkers = self._quiet_horizon(now, pod)
         if bound <= now:
             return False  # another actor acts at this very timestamp
-        # Growth schedule: a sequence needs a new block every
-        # ``block_tokens`` boundaries, starting when its context plus the
-        # speculative draft headroom first overflows its held blocks.
-        # Min-heap of (boundary index, batch position, entry) so
-        # simultaneous growths pop in ``active`` order -- the order
-        # ``advance`` grows them.
-        gheap = None
-        v = overhead = budget = 0.0
-        if paged:
-            gheap = []
-            for pos, entry in enumerate(active):
-                first = (
-                    (entry.shared_blocks + entry.blocks_held) * block_tokens
-                    - entry.request.prompt_len - entry.tokens_done
-                    - scheduler.draft_tokens
-                )
-                if first < boundaries:
-                    gheap.append((first, pos, entry))
-            if gheap:
-                heapq.heapify(gheap)
-                # Virtual pool ledger: growths are checked and summed
-                # against these during the walk and applied to the store
-                # for real only once the span commits, so the tie-guard
-                # rollback below never has to un-grow a lease.
-                v = scheduler.kv_in_use_bytes
-                overhead = scheduler.store.resident_overhead_bytes
-                budget = scheduler.kv_budget_bytes
-            else:
-                gheap = None
-        applied: list[tuple[int, list]] = []
-        batch = len(active)
-        occupancy = scheduler.kv_occupancy
-        step_cost = pod.step_cost
-        cache = pod._step_cache
-        bucket = STEP_CONTEXT_BUCKET
-        busy_s = pod.busy_s
-        energy_j = pod.energy_j
-        kv_occupancy_s = pod.kv_occupancy_s
-        # ``total`` grows by exactly ``batch`` per boundary, so the
-        # remainder of total/batch never changes and the rounded batch
-        # mean increments by exactly 1 -- except at an exact .5
-        # remainder, where round()'s half-even tie-break follows the
-        # parity of the integer part.  (The true fraction sits at least
-        # 1/(2*batch) from .5 otherwise, far beyond double rounding
-        # error at these magnitudes, so the increment is exact.)
-        quotient, remainder = divmod(total, batch)
-        tie = 2 * remainder == batch
-        mean = quotient + (quotient & 1) if tie else max(1, round(total / batch))
-        t = now
-        steps = 0
-        trigs: tuple[float, ...] = ()
-        prev_t = prev_busy = prev_energy = prev_kvocc = 0.0
-        next_growth = gheap[0][0] if gheap is not None else 1 << 60
-        # Above the context bucket the (batch, context) cost key only
-        # changes every ``bucket`` boundaries; fetch once per run
-        # instead of per boundary.
-        cost = None
-        cost_until = -1  # first mean value needing a re-fetch
-        while steps < boundaries and t < bound:
-            # A walker's clock is a lower bound on its pod's trigger
-            # time; our boundary at ``t`` is safely quiet while every
-            # walker sits strictly ahead of it.  Advance any that
-            # lag -- a walk that completes yields that pod's exact
-            # trigger time, which then caps the span like any event.
-            if walkers:
-                for walker in walkers:
-                    if walker[1] and walker[0] <= t:
-                        trig = self._advance_walk(walker, t)
-                        if trig is not None:
-                            trigs += (trig,)
-                            if trig < bound:
-                                bound = trig
-                if t >= bound:
-                    break
-            pending = None
-            if steps == next_growth:
-                # This boundary grows KV blocks.  Each must fit the
-                # free pool outright, checked in batch order with the
-                # exact ``_make_room`` predicate on the virtual ledger;
-                # a growth that misses would reclaim or preempt --
-                # observable -- so the span ends before this boundary.
-                pending = []
-                loud = False
-                while gheap and gheap[0][0] == steps:
-                    idx, pos, gentry = gheap[0]
-                    if budget - v - overhead < gentry.bytes_per_block - _EPS_BYTES:
-                        loud = True
-                        break
-                    v += gentry.bytes_per_block
-                    heapq.heappop(gheap)
-                    pending.append(gentry)
-                    nxt = idx + block_tokens
-                    if nxt < boundaries:
-                        heapq.heappush(gheap, (nxt, pos, gentry))
-                if loud:
-                    break
-                next_growth = gheap[0][0] if gheap else 1 << 60
-            prev_t = t
-            prev_busy = busy_s
-            prev_energy = energy_j
-            prev_kvocc = kv_occupancy_s
-            if mean >= cost_until:
-                context = mean if mean <= bucket else mean // bucket * bucket
-                cost = cache.get((batch, context))
-                if cost is None:
-                    cost = step_cost(batch, mean)
-                cost_until = mean + 1 if mean < bucket else context + bucket
-            step_s, step_j = cost
-            kv_occupancy_s += occupancy * step_s
-            busy_s += step_s
-            energy_j += step_j
-            t += step_s
-            steps += 1
-            if pending is not None:
-                applied.append((steps - 1, pending))
-                # Occupancy integrand for the boundaries *after* the
-                # growth; the growing boundary itself was metered above
-                # at the pre-growth value, as in the single-step path.
-                occupancy = (v + overhead) / budget
-            if tie:
-                quotient += 1
-                mean = quotient + (quotient & 1)
-            else:
-                mean += 1
+        while True:
+            limit = min([bound, *(o.t for o in walkers if o.steps < o.end)])
+            if self._walk(chain, limit) or chain.t >= bound:
+                break
+            # Our boundary at ``t`` is quiet only while every other
+            # chain is strictly ahead of it; one reaching its trigger
+            # caps the span like any event.
+            t = chain.t
+            beyond = math.nextafter(t, math.inf)
+            for other in walkers:
+                if other.steps < other.end and other.t <= t and self._walk(other, beyond):
+                    bound = min(bound, other.t)
+            if t >= bound:
+                break
+        steps = chain.steps
         if steps == 0:
             return False  # first boundary already capped
         # Exact-tie guard: pushing our next _STEP at the very timestamp
-        # of a walked pod's *trigger* boundary would give our event a
+        # of another pod's *trigger* boundary would give our event a
         # lower seq than that pod's future push -- the single-step path
         # pushes from the previous boundary instead, so the tie could
-        # resolve the other way.  Back off one boundary (the replayed
-        # boundary then runs the single-step path, whose push order
-        # matches the original exactly).  Quiet-boundary and already-
-        # heaped ties are order-insensitive and need no guard.
-        if t in trigs or self._walk_tie(walkers, t):
+        # resolve the other way.  Re-walk a fresh chain one boundary
+        # short (the same float operations); the dropped boundary runs
+        # the single-step path, whose push order matches.  Quiet and
+        # already-heaped ties are order-insensitive.
+        if self._walk_tie(walkers, chain.t):
             if steps < 2:
                 return False
-            steps -= 1
-            t = prev_t
-            busy_s = prev_busy
-            energy_j = prev_energy
-            kv_occupancy_s = prev_kvocc
-            if applied and applied[-1][0] == steps:
-                applied.pop()  # the dropped boundary's growths, unapplied
-        pod.busy_s = busy_s
-        pod.energy_j = energy_j
-        pod.kv_occupancy_s = kv_occupancy_s
-        for entry in active:
+            chain = self._quiet_chain(pod, now)
+            chain.end = steps = steps - 1
+            self._walk(chain, math.inf)
+        pod.busy_s, pod.energy_j = chain.busy_s, chain.energy_j
+        pod.kv_occupancy_s = chain.kv_occupancy_s
+        scheduler = pod.scheduler
+        for entry in scheduler.active:
             entry.tokens_done += steps
-        scheduler.owed_tokens -= batch * steps
-        if applied:
-            # Replay the committed growths on the store for real.  No
-            # admission, release or reclaim touched the pool inside the
-            # span, so the deferred ``grow`` calls see the same running
-            # ledger value, in the same order, as in-boundary growth
-            # would have -- bit-identical floats.
-            store = scheduler.store
-            for _idx, pending in applied:
-                for gentry in pending:
-                    gentry.blocks_held += 1
-                    gentry.kv_reserved_bytes = (
-                        gentry.blocks_held * gentry.bytes_per_block
-                    )
-                    store.grow(gentry.request.request_id)
-        self._push(t, _STEP, pod)
+        scheduler.owed_tokens -= chain.batch * steps
+        # Replay the committed growths on the store for real.  No
+        # admission, release or reclaim touched the pool inside the
+        # span, so the deferred ``grow`` calls see the same running
+        # ledger value, in the same order, as in-boundary growth would
+        # have -- bit-identical floats.
+        store = scheduler.store
+        for entry in chain.grown:
+            entry.blocks_held += 1
+            entry.kv_reserved_bytes = entry.blocks_held * entry.bytes_per_block
+            store.grow(entry.request.request_id)
+        self._push(chain.t, _STEP, pod)
         return True
 
     def _quiet_horizon(
         self, now: float, pod: DecodePod
-    ) -> tuple[float, list[list]]:
+    ) -> tuple[float, list[_QuietChain]]:
         """How far ``pod``'s bulk lane may run before another actor can
-        observably act: ``(horizon, quiet_walkers)``.
+        observably act: ``(horizon, walkers)``.
 
         Every pending non-``_STEP`` event is a hard cap (read off the
         ``_hard_events`` mirror heap, O(1) amortized).  The pending
-        ``_STEP`` of *another* decode pod is soft: if that pod is
-        provably quiet (nothing admissible -- checked with the pure
-        probes, every sequence mid-decode, no trigger at its very next
-        boundary), only its own first *trigger* boundary caps the span,
-        not its quiet boundaries in between.  Quiet boundaries of
-        different pods commute -- they touch disjoint pod-local state
-        and the shared prefill queue stays empty -- so leaping over
-        them cannot change any digest-visible ordering.  Each quiet pod
-        contributes a resumable walk state; the caller advances it
+        ``_STEP`` of *another* decode pod is soft when nothing is
+        admissible there (the pure probes) and it has a quiet chain:
+        only its trigger caps the span.  The lane walks such a chain
         lazily, never past its own clock, so walk work is bounded by
-        the span actually committed rather than by the other pod's
-        (possibly far later) trigger.
+        the span it commits.  An empty, blocked pod parks: no cap.
         """
         calendar = self._calendar
         if calendar.open_batch_pending():
@@ -2597,62 +2496,55 @@ class ClusterSim:
         while hard and hard[0] <= now:
             heapq.heappop(hard)  # already dispatched (times are unique-ish)
         horizon = hard[0] if hard else math.inf
-        walkers: list[list] = []
+        walkers: list[_QuietChain] = []
         for other in self.decode_pods:
             if other is pod or not other.stepping:
                 continue
             when = other.step_when
             if when >= horizon:
                 continue  # nothing of it can happen inside the horizon
-            state = self._pod_quiet_state(other, when)
-            if state is None:  # observable next boundary: hard cap
+            if not other.scheduler.would_admit_nothing():
                 horizon = when
-            elif state:  # non-empty batch; [] parks silently, no cap
-                walkers.append(state)
+            elif other.scheduler.active:
+                chain = self._quiet_chain(other, when)
+                if chain is None:  # observable next boundary: hard cap
+                    horizon = when
+                else:
+                    walkers.append(chain)
         return horizon, walkers
 
+    @staticmethod
     @pure_probe
-    def _pod_quiet_state(self, pod: DecodePod, start: float) -> list | None:
-        """Resumable quiet-chain walk state for ``pod``'s pending step
-        chain beginning at ``start``; ``None`` when its next boundary
-        is observable (admission, first token, or finish), ``[]`` when
-        the chain parks (empty batch, empty-or-blocked queue).  Pure:
-        probes use the side-effect-free admission mirrors, block
-        growths are simulated on a virtual pool ledger, and a blocked
-        queue stays blocked across the walked boundaries because
-        nothing in a quiet span frees pod memory (growth only takes
-        more)."""
+    def _quiet_chain(pod: DecodePod, start: float) -> _QuietChain | None:
+        """``pod``'s quiet chain from its step boundary at ``start``
+        (non-empty batch only); ``None`` when that boundary is already
+        observable: a sequence still prefilling, without its first
+        token, with a tool-call pause pending, or finishing there."""
         scheduler = pod.scheduler
-        if not scheduler.would_admit_nothing():
-            return None
         active = scheduler.active
-        if not active:
-            return []
-        paged = scheduler.reservation is Reservation.PAGED
-        block_tokens = scheduler.block_tokens
-        boundaries = 1 << 60
-        total = 0
+        end = 1 << 60
+        total = 0  # summed context_len, for the batch-mean step cost
         for entry in active:
             if entry.prefill_remaining > 0 or entry.first_token_s is None:
                 return None
             if entry.pauses_taken < len(entry.request.tool_pauses):
-                return None  # pending tool pause: observable boundary
+                # A pending tool-call pause is an observable boundary
+                # the walk cannot predict.
+                return None
             request = entry.request
             done = entry.tokens_done
-            quiet = request.decode_len - done - 1
-            if quiet < boundaries:
-                boundaries = quiet
+            quiet = request.decode_len - done - 1  # finishes at this one
+            if quiet < end:
+                end = quiet
             total += request.prompt_len + done + 1
-        if boundaries < 1:
+        if end < 1:
             return None
-        # Growth schedule (see :meth:`_bulk_quiet_steps`): a fitting
-        # block growth is quiet, one that would reclaim or preempt is
-        # the pod's trigger.  The walk only predicts *times*, so it
-        # carries a virtual pool ledger and the per-block byte sizes --
-        # never the entries themselves.
-        gheap = None
-        v = overhead = budget = 0.0
-        if paged:
+        gheap: list[tuple[int, int, ActiveRequest]] | None = None
+        if scheduler.reservation is Reservation.PAGED:
+            # A sequence needs a new block every ``block_tokens``
+            # boundaries, starting when its context plus the speculative
+            # draft headroom first overflows its held blocks.
+            block_tokens = scheduler.block_tokens
             gheap = []
             for pos, entry in enumerate(active):
                 first = (
@@ -2660,83 +2552,82 @@ class ClusterSim:
                     - entry.request.prompt_len - entry.tokens_done
                     - scheduler.draft_tokens
                 )
-                if first < boundaries:
-                    gheap.append((first, pos, entry.bytes_per_block))
-            if gheap:
-                heapq.heapify(gheap)
-                v = scheduler.kv_in_use_bytes
-                overhead = scheduler.store.resident_overhead_bytes
-                budget = scheduler.kv_budget_bytes
-            else:
-                gheap = None
-        batch = len(active)
-        quotient, remainder = divmod(total, batch)
-        tie = 2 * remainder == batch
-        mean = quotient + (quotient & 1) if tie else max(1, round(total / batch))
-        return [start, boundaries, quotient, mean, tie, batch,
-                pod._step_cache, pod.step_cost,
-                0, gheap, v, overhead, budget, block_tokens]
+                if first < end:
+                    gheap.append((first, pos, entry))
+            heapq.heapify(gheap)
+        return _QuietChain(pod, start, end, total, gheap)
 
     @staticmethod
-    def _advance_walk(state: list, limit: float) -> float | None:
-        """Advance a quiet-chain walk until its clock passes ``limit``
-        or its trigger boundary is reached; returns the exact trigger
-        time once all quiet boundaries are consumed, else ``None``
-        (trigger strictly later than the walk's updated clock)."""
-        (t, remaining, quotient, mean, tie, batch, cache, step_cost,
-         bidx, gheap, v, overhead, budget, block_tokens) = state
+    def _walk(chain: _QuietChain, limit: float) -> bool:
+        """Advance ``chain`` over its quiet boundaries while its clock
+        is below ``limit``; True once it has reached its trigger
+        boundary (``chain.t`` is then the exact trigger time).  A loud
+        growth -- one that misses the free pool, so ``advance`` would
+        reclaim or preempt -- makes its boundary the trigger."""
+        (t, steps, end, quotient, mean, cost, cost_until, v, occupancy,
+         busy_s, energy_j, kv_occupancy_s) = (
+            chain.t, chain.steps, chain.end, chain.quotient, chain.mean,
+            chain.cost, chain.cost_until, chain.v, chain.occupancy,
+            chain.busy_s, chain.energy_j, chain.kv_occupancy_s)
+        tie, batch, cache, gheap, grown = (
+            chain.tie, chain.batch, chain.cache, chain.gheap, chain.grown)
+        block_tokens, overhead, budget = chain.block_tokens, chain.overhead, chain.budget
         bucket = STEP_CONTEXT_BUCKET
         next_growth = gheap[0][0] if gheap else 1 << 60
-        cost = None
-        cost_until = -1  # see the run-length fetch in _bulk_quiet_steps
-        while remaining and t <= limit:
-            if bidx == next_growth:
-                # KV block growths at this boundary: quiet while every
-                # one fits the free pool outright (virtual ledger, same
-                # predicate as ``_make_room``); a miss means the pod
-                # reclaims or preempts here -- the chain's trigger.
-                loud = False
-                while gheap and gheap[0][0] == bidx:
-                    idx, pos, bpb = gheap[0]
-                    if budget - v - overhead < bpb - _EPS_BYTES:
-                        loud = True
+        while steps < end and t < limit:
+            grows = steps == next_growth
+            if grows:
+                # Each growth must fit the free pool outright: the
+                # ``_make_room`` predicate, in batch order.
+                mark = len(grown)
+                while gheap and gheap[0][0] == steps:
+                    idx, pos, entry = gheap[0]
+                    if budget - v - overhead < entry.bytes_per_block - _EPS_BYTES:
+                        del grown[mark:]
+                        end = steps  # loud: this boundary is the trigger
                         break
-                    v += bpb
+                    v += entry.bytes_per_block
                     heapq.heappop(gheap)
-                    nxt = idx + block_tokens
-                    if nxt < bidx + remaining:
-                        heapq.heappush(gheap, (nxt, pos, bpb))
-                if loud:
-                    remaining = 0
+                    grown.append(entry)
+                    if idx + block_tokens < end:
+                        heapq.heappush(gheap, (idx + block_tokens, pos, entry))
+                if end == steps:
                     break
                 next_growth = gheap[0][0] if gheap else 1 << 60
             if mean >= cost_until:
                 context = mean if mean <= bucket else mean // bucket * bucket
-                cost = cache.get((batch, context))
-                if cost is None:
-                    cost = step_cost(batch, mean)
+                cost = cache.get((batch, context)) or chain.step_cost(batch, mean)
                 cost_until = mean + 1 if mean < bucket else context + bucket
-            t += cost[0]
-            remaining -= 1
-            bidx += 1
+            step_s, step_j = cost
+            kv_occupancy_s += occupancy * step_s
+            busy_s += step_s
+            energy_j += step_j
+            t += step_s
+            steps += 1
+            if grows:
+                # Later boundaries meter the grown pool; this one was
+                # metered at the pre-growth value, as in the single step.
+                occupancy = (v + overhead) / budget
             if tie:
                 quotient += 1
                 mean = quotient + (quotient & 1)
             else:
                 mean += 1
-        state[0] = t
-        state[1] = remaining
-        state[2] = quotient
-        state[3] = mean
-        state[8] = bidx
-        state[10] = v
-        return t if not remaining else None
+        (chain.t, chain.steps, chain.end, chain.quotient, chain.mean,
+         chain.cost, chain.cost_until, chain.v, chain.occupancy,
+         chain.busy_s, chain.energy_j, chain.kv_occupancy_s) = (
+            t, steps, end, quotient, mean, cost, cost_until, v, occupancy,
+            busy_s, energy_j, kv_occupancy_s)
+        return steps == end
 
-    def _walk_tie(self, capped: list[list], t: float) -> bool:
-        """Does any capped quiet-chain walk trigger at exactly ``t``?
-        Resumes each walk just far enough to decide."""
-        for state in capped:
-            if state[0] <= t and self._advance_walk(state, t) == t:
+    def _walk_tie(self, walkers: list[_QuietChain], t: float) -> bool:
+        """Does any other pod's chain trigger at exactly ``t``?  Resumes
+        each lagging walk just far enough to decide."""
+        beyond = math.nextafter(t, math.inf)
+        for chain in walkers:
+            if chain.steps < chain.end and chain.t <= t:
+                self._walk(chain, beyond)
+            if chain.steps == chain.end and chain.t == t:
                 return True
         return False
 
@@ -3029,6 +2920,14 @@ class ClusterSim:
                 f"{self._unresolved} request(s) never completed, were "
                 "rejected or were shed"
             )
+        for pod in self.decode_pods:
+            held = pod.scheduler.leak()
+            if held is None and any(owner is pod for owner in self._pinned.values()):
+                held = "pinned prefix references"
+            if held is not None:
+                raise SimulationIncomplete(
+                    f"decode pod {pod.pod_id} ended the run holding {held}"
+                )
         obs = self._obs
         trace = timeline = None
         if obs is not None:

@@ -2,7 +2,7 @@
 
 The PR 7 bulk quiet-decode lane is only sound because a handful of
 *probe* functions -- :meth:`ContinuousBatchScheduler.would_admit_nothing`,
-``_admissible_pure``/``_fits_pure``, the ``_pod_quiet_state`` walkers --
+``_admissible_pure``/``_fits_pure``, the ``_quiet_chain`` builder --
 inspect simulator state without mutating it.  Nothing in Python enforces
 that; one careless edit (say, an ``heappush`` into a shared heap from
 inside a probe) silently corrupts digest equivalence between the fast
@@ -42,7 +42,9 @@ from __future__ import annotations
 import inspect
 import os
 from collections.abc import Callable
-from functools import wraps
+from functools import cache, wraps
+from operator import itemgetter
+from types import ModuleType
 from typing import Any, TypeVar
 
 __all__ = [
@@ -88,7 +90,8 @@ _SAMPLE_EVERY = 64
 #: (the static purity checker has no such blind spot).
 _MAX_DEPTH = 64
 
-_SCALARS = (int, str, bool, bytes, type(None))
+_ATOMS = (float, int, str, bool, bytes, type(None))
+_ATOM_TYPES = frozenset(_ATOMS)
 
 
 class _ProbeStack:
@@ -103,78 +106,112 @@ class _ProbeStack:
 _PROBES = _ProbeStack()
 
 
-def _slot_names(cls: type) -> list[str]:
+@cache
+def _layout(cls: type) -> tuple[frozenset[str], tuple[str, ...]]:
+    """``cls``'s exempt attribute names and its slot names."""
     names: list[str] = []
     for klass in cls.__mro__:
         slots = klass.__dict__.get("__slots__", ())
         if isinstance(slots, str):
             slots = (slots,)
         names.extend(s for s in slots if s not in ("__dict__", "__weakref__"))
-    return names
+    return getattr(cls, "_contract_exempt", frozenset()), tuple(names)
 
 
-def fingerprint(obj: object, _depth: int = 0, _memo: set[int] | None = None) -> object:
+def fingerprint(obj: object) -> object:
     """Deterministic structural snapshot of ``obj``.
 
     Two snapshots of the same object graph compare equal iff no
     reachable raw state changed between them.  The walk never calls
     methods or properties (so it cannot mutate anything itself), skips
-    callables and modules, renders floats through ``repr`` (exact, and
-    NaN-stable), and cuts cycles with an identity memo.
+    callables and modules, and renders floats raw.
+
+    Each object is walked once: a later reference to it -- a cycle
+    back to an ancestor, or a second path to a shared object such as
+    the :class:`~repro.serving.requests.RequestTable` behind every
+    record view -- renders as ``("ref", n)``, where ``n`` is the
+    object's visit ordinal, so the walk is linear in the graph.  An
+    object whose own walk was cut at :data:`_MAX_DEPTH` is not
+    remembered: reached again higher up, it is walked again.
     """
-    if _memo is None:
-        _memo = set()
-    if isinstance(obj, (float, *_SCALARS)):
-        # Floats stay raw: tuple comparison short-circuits on identity,
-        # so an unreplaced NaN still compares equal to itself.
-        return obj
-    if _depth >= _MAX_DEPTH:
-        return ("depth-capped",)
-    oid = id(obj)
-    if oid in _memo:
-        return ("ref", oid)
-    _memo.add(oid)
-    try:
+    return _Walk().visit(obj, 0)
+
+
+def _snapshots(values: list[object]) -> list[object]:
+    """Fingerprints of ``values`` from one shared walk: state reachable
+    from several of them (a probe's pod inside its simulator) is
+    rendered once, under the first value that reaches it."""
+    walk = _Walk()
+    return [walk.visit(value, 0) for value in values]
+
+
+class _Walk:
+    """One fingerprint pass: visit ordinals of the objects walked so
+    far (complete or on the current path) and a count of depth cuts."""
+
+    __slots__ = ("seen", "visits", "cuts")
+
+    def __init__(self) -> None:
+        self.seen: dict[int, int] = {}
+        self.visits = 0
+        self.cuts = 0
+
+    def visit(self, obj: object, depth: int) -> object:
+        if isinstance(obj, _ATOMS):
+            # Floats stay raw: tuple comparison short-circuits on
+            # identity, so an unreplaced NaN still compares equal to
+            # itself.
+            return obj
+        if depth >= _MAX_DEPTH:
+            self.cuts += 1
+            return ("depth-capped",)
+        oid = id(obj)
+        ordinal = self.seen.get(oid)
+        if ordinal is not None:
+            return ("ref", ordinal)
+        self.seen[oid] = self.visits
+        self.visits += 1
+        cuts = self.cuts
+        snapshot = self._render(obj, depth + 1)
+        if self.cuts != cuts:
+            del self.seen[oid]  # partial walk: a shallower path redoes it
+        return snapshot
+
+    def _render(self, obj: object, depth: int) -> object:
+        visit = self.visit
+        kind = type(obj)
         if isinstance(obj, (tuple, list)):
-            return (
-                type(obj).__name__,
-                tuple(fingerprint(v, _depth + 1, _memo) for v in obj),
-            )
+            if _ATOM_TYPES.issuperset(map(type, obj)):
+                # A flat column (a RequestTable list): every element
+                # renders as itself, so skip the per-element visits.
+                return (kind.__name__, tuple(obj))
+            return (kind.__name__, tuple([visit(v, depth) for v in obj]))
         if isinstance(obj, dict):
             return (
                 "dict",
-                tuple(
-                    (fingerprint(k, _depth + 1, _memo), fingerprint(v, _depth + 1, _memo))
-                    for k, v in obj.items()
-                ),
+                tuple([(visit(k, depth), visit(v, depth)) for k, v in obj.items()]),
             )
         if isinstance(obj, (set, frozenset)):
-            return (
-                type(obj).__name__,
-                tuple(sorted(repr(fingerprint(v, _depth + 1, _memo)) for v in obj)),
-            )
-        if callable(obj) or inspect.ismodule(obj) or isinstance(obj, type):
-            return ("opaque", getattr(obj, "__qualname__", type(obj).__name__))
-        exempt = getattr(type(obj), "_contract_exempt", frozenset())
-        fields: list[tuple[str, object]] = []
+            return (kind.__name__, tuple(sorted([repr(visit(v, depth)) for v in obj])))
+        if callable(obj) or isinstance(obj, ModuleType):  # classes are callable
+            return ("opaque", getattr(obj, "__qualname__", kind.__name__))
+        exempt, slots = _layout(kind)
         instance_dict = getattr(obj, "__dict__", None)
-        if instance_dict is not None:
-            fields.extend(instance_dict.items())
-        for name in _slot_names(type(obj)):
+        fields: list[tuple[str, object]] = (
+            [] if instance_dict is None else list(instance_dict.items())
+        )
+        for name in slots:
             try:
                 fields.append((name, object.__getattribute__(obj, name)))
             except AttributeError:
                 fields.append((name, ("unset",)))
+        fields.sort(key=itemgetter(0))
         return (
-            type(obj).__name__,
-            tuple(
-                (name, fingerprint(value, _depth + 1, _memo))
-                for name, value in sorted(fields, key=lambda kv: kv[0])
-                if name not in exempt
-            ),
+            kind.__name__,
+            tuple([
+                (name, visit(value, depth)) for name, value in fields if name not in exempt
+            ]),
         )
-    finally:
-        _memo.discard(oid)
 
 
 def checked_probe(fn: F, watch: tuple[str, ...] | None = None) -> F:
@@ -203,15 +240,16 @@ def checked_probe(fn: F, watch: tuple[str, ...] | None = None) -> F:
                 _PROBES.depth -= 1
         bound = sig.bind(*args, **kwargs)
         names = watch if watch is not None else tuple(bound.arguments)
-        watched = [(name, bound.arguments[name]) for name in names if name in bound.arguments]
-        before = [(name, fingerprint(value)) for name, value in watched]
+        names = tuple(name for name in names if name in bound.arguments)
+        before = _snapshots([bound.arguments[name] for name in names])
         _PROBES.depth += 1
         try:
             result = fn(*args, **kwargs)
         finally:
             _PROBES.depth -= 1
-        for (name, prior), (_, value) in zip(before, watched):
-            if fingerprint(value) != prior:
+        after = _snapshots([bound.arguments[name] for name in names])
+        for name, prior, now in zip(names, before, after):
+            if now != prior:
                 raise PurityViolation(
                     f"pure probe {fn.__qualname__} mutated argument {name!r}"
                 )

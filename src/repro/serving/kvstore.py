@@ -263,6 +263,27 @@ class KvBlockStore:
         pending event, so the pod is not stranded)."""
         return bool(self._swapped)
 
+    def leak(self) -> str | None:
+        """What the store still holds that only a live sequence may
+        hold -- a lease, a swapped sequence or a referenced prefix block
+        -- or ``None`` (ref-0 cached blocks may stay resident).  Every
+        sequence has left the pod at run end, so anything named here is
+        a ledger leak."""
+        if self._leases:
+            return f"{len(self._leases)} KV lease(s)"
+        if self._swapped:
+            return f"{len(self._swapped)} swapped sequence(s)"
+        referenced = 0
+        nodes = [self._root]
+        while nodes:
+            node = nodes.pop()
+            if node.block is not None and node.block.ref_count > 0:
+                referenced += 1
+            nodes.extend(node.children.values())
+        if referenced:
+            return f"{referenced} shared prefix block(s) with ref_count > 0"
+        return None
+
     # ------------------------------------------------------------------
     # Device-tier leases (the old embedded scheduler accounting)
     # ------------------------------------------------------------------

@@ -748,6 +748,17 @@ class ContinuousBatchScheduler:
     def has_work(self) -> bool:
         return bool(self.active or self.queue or self.parked)
 
+    def leak(self) -> str | None:
+        """Sequence state still held once the run is over -- batched,
+        queued or parked sequences, else :meth:`KvBlockStore.leak` --
+        or ``None``."""
+        if self.has_work:
+            return (
+                f"{len(self.active)} active, {len(self.queue)} queued and "
+                f"{len(self.parked)} parked sequence(s)"
+            )
+        return self.store.leak()
+
     def mean_context_len(self) -> int:
         """Context length the next step is evaluated at (batch mean);
         prefilling sequences count at their resident prompt slice."""

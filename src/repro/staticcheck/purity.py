@@ -16,7 +16,7 @@ nested helpers) the checker flags:
   ``Random(...)`` construction).
 
 Mutating *fresh local* state (a list the probe just built) is fine --
-that is how ``_pod_quiet_state`` assembles its walk state.
+that is how ``_quiet_chain`` assembles its growth heap.
 """
 
 from __future__ import annotations

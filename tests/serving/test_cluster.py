@@ -9,6 +9,7 @@ from repro.analysis.perf_model import system_for
 from repro.gpu.system import GpuSystem
 from repro.models.llama3 import LLAMA3_8B, LLAMA3_70B
 from repro.models.workload import Workload
+from repro.platform import GpuPlatform, RpuPlatform
 from repro.serving.cluster import (
     ClusterConfig,
     ClusterSim,
@@ -20,6 +21,7 @@ from repro.serving.cluster import (
     simulate,
 )
 from repro.serving.disaggregated import DisaggregatedSystem
+from repro.serving.kvstore import KvBlockStore
 from repro.serving.requests import (
     Request,
     RequestGenerator,
@@ -33,8 +35,8 @@ from repro.serving.scheduler import Policy, Reservation
 def single_pod_config(model, *, num_cus=128, decode_len=2048, seq_len=8192):
     sizing = Workload(model, batch_size=1, seq_len=seq_len, decode_len=decode_len)
     return ClusterConfig(
-        prefill_engines=(GpuSystem(count=2),),
-        decode_pods=(DecodePodSpec(system_for(num_cus, sizing), model),),
+        prefill_engines=(GpuPlatform(GpuSystem(count=2)),),
+        decode_pods=(DecodePodSpec(RpuPlatform(system_for(num_cus, sizing)), model),),
     )
 
 
@@ -127,10 +129,10 @@ class TestRoutingAndPolicies:
         sizing_8b = Workload(LLAMA3_8B, batch_size=1, seq_len=8192)
         sizing_70b = Workload(LLAMA3_70B, batch_size=1, seq_len=8192)
         config = ClusterConfig(
-            prefill_engines=(GpuSystem(count=2),),
+            prefill_engines=(GpuPlatform(GpuSystem(count=2)),),
             decode_pods=(
-                DecodePodSpec(system_for(64, sizing_8b), LLAMA3_8B),
-                DecodePodSpec(system_for(128, sizing_70b), LLAMA3_70B),
+                DecodePodSpec(RpuPlatform(system_for(64, sizing_8b)), LLAMA3_8B),
+                DecodePodSpec(RpuPlatform(system_for(128, sizing_70b)), LLAMA3_70B),
             ),
         )
         requests = [
@@ -435,10 +437,10 @@ class TestPrefillDtypeThreading:
         from repro.models.dtypes import DType
 
         config = ClusterConfig(
-            prefill_engines=(GpuSystem(count=2),),
+            prefill_engines=(GpuPlatform(GpuSystem(count=2)),),
             decode_pods=(
                 DecodePodSpec(
-                    system_for(128, Workload(LLAMA3_70B, seq_len=8192)),
+                    RpuPlatform(system_for(128, Workload(LLAMA3_70B, seq_len=8192))),
                     LLAMA3_70B,
                 ),
             ),
@@ -523,10 +525,10 @@ class TestReviewRegressions:
 
         request = Request(0, 0.0, LLAMA3_70B, prompt_len=4096, decode_len=2048)
         config = ClusterConfig(
-            prefill_engines=(GpuSystem(count=2),),
+            prefill_engines=(GpuPlatform(GpuSystem(count=2)),),
             decode_pods=(
                 DecodePodSpec(
-                    system_for(128, Workload(LLAMA3_70B, seq_len=8192)),
+                    RpuPlatform(system_for(128, Workload(LLAMA3_70B, seq_len=8192))),
                     LLAMA3_70B,
                 ),
             ),
@@ -1130,4 +1132,38 @@ class TestRunEndInvariant:
         )
         config = disaggregated_cluster(LLAMA3_8B)
         with pytest.raises(SimulationIncomplete, match="did not drain"):
+            simulate(config, requests)
+
+    def test_leaked_lease_fails_loudly(self, monkeypatch):
+        """A ``release`` that keeps the lease leaves the KV ledger
+        holding sequences nobody owns: the run must name the pod."""
+        requests = [Request(i, 0.1 * i, LLAMA3_8B, 256, 32) for i in range(4)]
+        monkeypatch.setattr(KvBlockStore, "release", lambda self, seq_id: 0.0)
+        config = disaggregated_cluster(LLAMA3_8B, num_decode_pods=1)
+        with pytest.raises(
+            SimulationIncomplete, match=r"decode pod \S+ .*4 KV lease\(s\)"
+        ):
+            simulate(config, requests)
+
+    def test_leaked_prefix_reference_fails_loudly(self, monkeypatch):
+        """A ``release`` that frees the lease but never drops its shared
+        prefix refs leaves blocks referenced forever."""
+        requests = [
+            Request(i, 0.5 * i, LLAMA3_8B, 512, 32, prefix_id=1, prefix_len=384)
+            for i in range(3)
+        ]
+
+        def release_keeping_refs(self, seq_id):
+            lease = self._leases.pop(seq_id, None)
+            if lease is None:
+                return 0.0
+            self.bytes_in_use -= lease.nbytes
+            return lease.nbytes
+
+        monkeypatch.setattr(KvBlockStore, "release", release_keeping_refs)
+        config = dataclasses.replace(
+            disaggregated_cluster(LLAMA3_8B, num_decode_pods=1),
+            prefix_caching=True,
+        )
+        with pytest.raises(SimulationIncomplete, match="ref_count > 0"):
             simulate(config, requests)

@@ -15,7 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.models.llama3 import LLAMA3_8B
+from repro.serving.cluster import RequestRecord
 from repro.serving.contracts import (
+    _MAX_DEPTH,
     PurityViolation,
     checked_mutator,
     checked_probe,
@@ -24,6 +27,7 @@ from repro.serving.contracts import (
     mutates,
     pure_probe,
 )
+from repro.serving.requests import Request, RequestTable
 
 REPO = Path(__file__).parents[2]
 
@@ -98,6 +102,41 @@ class TestFingerprint:
     def test_set_order_is_canonical(self):
         assert fingerprint({1, 2, 3}) == fingerprint({3, 2, 1})
 
+    def test_shared_object_reached_deep_first_is_still_walked(self):
+        """``box`` is first reached one level above the depth cap, so
+        its own walk is cut; reached again near the root it must be
+        walked in full, not stood in for by a reference."""
+        box = Box()
+        box.items.append(0)
+        deep: list[object] = [box]
+        for _ in range(_MAX_DEPTH - 3):
+            deep = [deep]
+        root = [deep, box]
+        before = fingerprint(root)
+        box.items[0] = 1
+        assert fingerprint(root) != before
+
+    def test_table_column_write_is_caught_through_a_second_view(self):
+        """Record views share one table, which the walk renders once;
+        a write to the second view's row must still show."""
+        table = RequestTable(
+            [Request(i, 0.0, LLAMA3_8B, 128, 16) for i in range(2)]
+        )
+        views = [RequestRecord(table=table, row=row) for row in range(2)]
+        before = fingerprint(views)
+        views[1].completed_s = 1.5
+        assert fingerprint(views) != before
+        assert table.completed_s[1] == pytest.approx(1.5)
+
+    def test_shared_table_is_walked_once(self):
+        """Linear walk: each extra view adds a constant-size reference,
+        not another copy of the table."""
+        table = RequestTable(
+            [Request(i, 0.0, LLAMA3_8B, 128, 16) for i in range(50)]
+        )
+        views = [RequestRecord(table=table, row=row) for row in range(50)]
+        assert repr(fingerprint(views)).count("'RequestTable'") == 1
+
 
 class TestCheckedProbe:
     def test_pure_probe_passes(self):
@@ -122,6 +161,20 @@ class TestCheckedProbe:
 
         with pytest.raises(PurityViolation, match="'right'"):
             checked_probe(probe)(Box(), Box())
+
+    def test_state_shared_between_arguments_is_still_checked(self):
+        """Watched arguments share one walk, so ``inner`` renders under
+        ``outer``; a write through ``inner`` must still be caught."""
+
+        def probe(outer, inner):
+            inner.total += 1.0
+            return True
+
+        outer = Box()
+        inner = Box()
+        outer.items.append(inner)
+        with pytest.raises(PurityViolation, match="'outer'"):
+            checked_probe(probe)(outer, inner)
 
     def test_watch_restricts_fingerprinting(self):
         def probe(box, scratch):

@@ -1,15 +1,26 @@
-"""Bulk quiet lane on vs off: a differential oracle for the fast path.
+"""Bulk quiet lane oracles: every leg must reproduce the same digests.
 
 The lane chains quiet decode steps inside one event and replays their
-float arithmetic in the single-step order, so switching it off must
-leave every report digest bit-identical.  The cases aim at speculative
-decoding, whose draft-token headroom moves each sequence's KV block
-growth boundaries: a split draft, uncharged draft KV, headroom wider
-than a block under the prefix cache, and a pool tight enough that
-growths turn loud (reclaim or preempt) inside would-be spans.
+float arithmetic in the single-step order.  Three legs take it apart,
+and each must leave every report digest bit-identical:
+
+- ``lane_off``: every step takes the single-step path;
+- ``walkers_off``: the lane runs, but every other pod's pending step is
+  a hard cap instead of a walked quiet chain;
+- ``forced_tie``: the exact-tie guard fires on every span, so each one
+  is re-walked a boundary short (the rollback branch, which no pinned
+  scenario reaches on its own).
+
+The legs run over every digest-pinned scenario (against its pin) and
+over extra speculative-decoding cases (against the unpatched run),
+whose draft-token headroom moves each sequence's KV block growth
+boundaries: a split draft, uncharged draft KV, headroom wider than a
+block under the prefix cache, and a pool tight enough that growths
+turn loud (reclaim or preempt) inside would-be spans.
 """
 
 import dataclasses
+import functools
 
 import pytest
 
@@ -19,7 +30,7 @@ from repro.serving.engine import report_diff, report_digest
 from repro.serving.scheduler import ContinuousBatchScheduler
 from repro.specdec import SpecDecConfig
 from repro.specdec.speculative import SpeculativeConfig
-from test_engine import SCENARIOS, _base, _traffic
+from test_engine import DIGESTS, SCENARIOS, _base, _traffic
 
 
 def _specdec_70b(**specdec):
@@ -59,17 +70,62 @@ def _lane_off(monkeypatch):
     monkeypatch.setattr(
         ClusterSim, "_bulk_quiet_steps", lambda self, now, pod: False
     )
-    monkeypatch.setattr(
-        ClusterSim, "_pod_quiet_state", lambda self, pod, start: None
-    )
+
+
+def _walkers_off(monkeypatch):
+    horizon = ClusterSim._quiet_horizon
+
+    def hard_caps_only(self, now, pod):
+        bound, walkers = horizon(self, now, pod)
+        return min([bound, *(chain.t for chain in walkers)]), []
+
+    monkeypatch.setattr(ClusterSim, "_quiet_horizon", hard_caps_only)
+
+
+def _forced_tie(monkeypatch):
+    monkeypatch.setattr(ClusterSim, "_walk_tie", lambda self, walkers, t: True)
+
+
+LEGS = {
+    "lane_off": _lane_off,
+    "walkers_off": _walkers_off,
+    "forced_tie": _forced_tie,
+}
+
+
+@functools.cache
+def _unpatched(name):
+    config, requests = CASES[name]()
+    return simulate(config, requests)
 
 
 class TestQuietLaneOracle:
+    @pytest.mark.parametrize("leg", sorted(LEGS))
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_leg_matches_the_pin(self, name, leg, monkeypatch):
+        config, requests = SCENARIOS[name]()
+        LEGS[leg](monkeypatch)
+        report = simulate(config, requests)
+        if report_digest(report) != DIGESTS[name]:
+            monkeypatch.undo()
+            pytest.fail(
+                f"{leg}: {report_diff(simulate(config, requests), report)}"
+            )
+
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_lane_on_matches_lane_off(self, name, monkeypatch):
+        self._check_case(name, "lane_off", monkeypatch)
+
+    @pytest.mark.parametrize("leg", ["forced_tie", "walkers_off"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_lane_on_matches_leg(self, name, leg, monkeypatch):
+        self._check_case(name, leg, monkeypatch)
+
+    @staticmethod
+    def _check_case(name, leg, monkeypatch):
+        on = _unpatched(name)
         config, requests = CASES[name]()
-        on = simulate(config, requests)
-        _lane_off(monkeypatch)
+        LEGS[leg](monkeypatch)
         off = simulate(config, requests)
         assert report_digest(on) == report_digest(off), report_diff(on, off)
         if name == "tight_pool":  # the case must really preempt
