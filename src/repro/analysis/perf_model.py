@@ -280,8 +280,9 @@ def decode_step_perf_row(
     check_capacity=False)``.  ``None`` without numpy.
 
     Only the attention kernels depend on the context: the kernel
-    builders run once per distinct (local-window, MoE) layer signature
-    with the span as an int64 array, and each kernel's row is added into
+    builders run once per layer class (the model's
+    :attr:`~repro.models.config.ModelConfig.layer_classes`) with the
+    span as an int64 array, and each kernel's row is added into
     one ``(9, n)`` accumulator in layer order -- per element, the scalar
     path's sequence of float additions."""
     if _np is None:
@@ -304,17 +305,15 @@ def decode_step_perf_row(
             blocks.append(block)
         return blocks
 
-    by_signature: dict[tuple[bool, bool], list] = {}
-    layer_blocks: list[list] = []
-    for layer in range(model.num_layers):
-        is_global = attn.is_global_layer(layer)
-        signature = (is_global, model.is_moe_layer(layer))
-        blocks = by_signature.get(signature)
-        if blocks is None:
-            span = seq if is_global else _np.minimum(seq, attn.local_window)
-            blocks = blocks_of(_layer_kernels(workload, layer, tokens, span=span))
-            by_signature[signature] = blocks
-        layer_blocks.append(blocks)
+    classes, order = model.layer_classes
+    class_blocks = [
+        blocks_of(_layer_kernels(
+            workload, layer, tokens,
+            span=seq if is_global else _np.minimum(seq, attn.local_window),
+        ))
+        for is_global, _, layer in classes
+    ]
+    layer_blocks = [class_blocks[k] for k in order]
     layer_blocks.append(blocks_of([_lm_head(workload, tokens)]))
 
     # A kernel without a collective adds 0.0 to the payload total, an

@@ -10,6 +10,8 @@ traffic scales with batch size -- Fig 1's dense-vs-MoE comparison).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import ClassVar, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -99,9 +101,23 @@ class MoeConfig:
         return min(expected, float(self.num_experts))
 
 
+class LayerClass(NamedTuple):
+    """One layer signature of a model: its layers differ only in their
+    index, so they build value-identical kernels."""
+
+    is_global: bool
+    is_moe: bool
+    #: The first layer of the class (the label its shared kernels carry).
+    first_layer: int
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """A complete decoder-only transformer description."""
+
+    #: :attr:`layer_classes` is a memo of the frozen fields, not state:
+    #: exempt from the REPRO_CHECK purity fingerprint.
+    _contract_exempt: ClassVar[frozenset[str]] = frozenset({"layer_classes"})
 
     name: str
     num_layers: int
@@ -146,6 +162,22 @@ class ModelConfig:
         # MoE layers sit at the end of each interleave period, matching
         # Llama4-Maverick's alternating dense/MoE structure.
         return layer_index % self.moe.interleave == self.moe.interleave - 1
+
+    @cached_property
+    def layer_classes(self) -> tuple[tuple[LayerClass, ...], tuple[int, ...]]:
+        """The distinct (global attention, MoE) layer signatures in order
+        of first appearance, and each layer's index into them."""
+        classes: list[LayerClass] = []
+        index: dict[tuple[bool, bool], int] = {}
+        order: list[int] = []
+        for layer in range(self.num_layers):
+            signature = (self.attention.is_global_layer(layer), self.is_moe_layer(layer))
+            k = index.get(signature)
+            if k is None:
+                k = index[signature] = len(classes)
+                classes.append(LayerClass(*signature, layer))
+            order.append(k)
+        return tuple(classes), tuple(order)
 
     @property
     def num_moe_layers(self) -> int:

@@ -19,8 +19,10 @@ Kernel accounting conventions:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any
 
 from repro.models.workload import Workload
 
@@ -61,9 +63,20 @@ class KernelProfile:
         return self.flops / self.hbm_bytes
 
 
+def _flops_only(
+    name: str, kind: KernelKind, flops: float = 0.0, weight_bytes: float = 0.0,
+    kv_bytes: float = 0.0, act_bytes: float = 0.0, collective_bytes: float = 0.0,
+    layer: int | None = None,
+) -> float:
+    """Kernel builder for FLOPs rows: :class:`KernelProfile`'s fields
+    in, the kernel's FLOPs out, with no kernel object built."""
+    return flops
+
+
 def _attention_kernels(
-    workload: Workload, layer: int, tokens_per_query: int, span=None
-) -> list[KernelProfile]:
+    workload: Workload, layer: int, tokens_per_query: int, span=None,
+    kernel: Callable[..., Any] = KernelProfile,
+) -> list[Any]:
     """SDPA kernels for one layer: QK^T, softmax, s(QK)V.
 
     ``tokens_per_query`` is 1 during decode; during prefill, attention
@@ -71,6 +84,8 @@ def _attention_kernels(
     the chunk length).  ``span`` overrides the layer's attention span;
     an int64 array of spans yields array-valued kernel fields, one
     element per span, each computed with the scalar operation sequence.
+    ``kernel`` builds each kernel from :class:`KernelProfile`'s fields
+    (:func:`_flops_only` keeps just its FLOPs).
     """
     model = workload.model
     attn = model.attention
@@ -88,7 +103,7 @@ def _attention_kernels(
     # cores sharing each GQA head: two small collectives per layer.
     softmax_collective = 2.0 * queries * attn.num_heads * 4.0
     return [
-        KernelProfile(
+        kernel(
             name="QK^T",
             kind=KernelKind.SDPA,
             flops=qk_flops,
@@ -96,7 +111,7 @@ def _attention_kernels(
             act_bytes=queries * attn.q_dim * actb,
             layer=layer,
         ),
-        KernelProfile(
+        kernel(
             name="softmax",
             kind=KernelKind.VOPS,
             flops=softmax_flops,
@@ -104,7 +119,7 @@ def _attention_kernels(
             collective_bytes=softmax_collective,
             layer=layer,
         ),
-        KernelProfile(
+        kernel(
             name="s(QK)V",
             kind=KernelKind.SDPA,
             flops=qk_flops,
@@ -116,20 +131,21 @@ def _attention_kernels(
 
 
 def _layer_kernels(
-    workload: Workload, layer: int, tokens: int, span=None
-) -> list[KernelProfile]:
+    workload: Workload, layer: int, tokens: int, span=None,
+    kernel: Callable[..., Any] = KernelProfile,
+) -> list[Any]:
     """All kernels of one transformer layer processing ``tokens`` new
-    tokens (``span``: see :func:`_attention_kernels`)."""
+    tokens (``span``, ``kernel``: see :func:`_attention_kernels`)."""
     model = workload.model
     attn = model.attention
     h = model.hidden_size
     wb = workload.weight_dtype.nbytes
     actb = workload.act_dtype.nbytes
 
-    kernels: list[KernelProfile] = []
+    kernels: list[Any] = []
 
-    def vop(name: str, flops: float, act_elems: float) -> KernelProfile:
-        return KernelProfile(
+    def vop(name: str, flops: float, act_elems: float) -> Any:
+        return kernel(
             name=name,
             kind=KernelKind.VOPS,
             flops=flops,
@@ -137,13 +153,13 @@ def _layer_kernels(
             layer=layer,
         )
 
-    def linear(name: str, in_dim: int, out_dim: int, *, broadcast: bool) -> KernelProfile:
+    def linear(name: str, in_dim: int, out_dim: int, *, broadcast: bool) -> Any:
         """``broadcast`` marks kernels whose input is a fresh full vector
         needing a ring broadcast (wQKV, wUp/wGate).  wO and wDown consume
         locally-produced shards; their sharing is the cheap group
         gather/reduction the compiler inserts (fine-grained network
         sharding, paper Contribution 3)."""
-        return KernelProfile(
+        return kernel(
             name=name,
             kind=KernelKind.LINEAR,
             flops=2.0 * tokens * in_dim * out_dim,
@@ -160,14 +176,15 @@ def _layer_kernels(
     )
     kernels.extend(
         _attention_kernels(
-            workload, layer, tokens_per_query=tokens // workload.batch_size, span=span
+            workload, layer, tokens_per_query=tokens // workload.batch_size,
+            span=span, kernel=kernel,
         )
     )
     kernels.append(linear("wO", attn.q_dim, h, broadcast=False))
     kernels.append(vop("rmsnorm_mlp", 5.0 * tokens * h, tokens * h))
 
     if model.is_moe_layer(layer):
-        kernels.extend(_moe_kernels(workload, layer, tokens))
+        kernels.extend(_moe_kernels(workload, layer, tokens, kernel))
     else:
         f = model.intermediate_size
         kernels.append(linear("wUp/wGate", h, 2 * f, broadcast=True))
@@ -177,8 +194,9 @@ def _layer_kernels(
 
 
 def _moe_kernels(
-    workload: Workload, layer: int, tokens: int
-) -> list[KernelProfile]:
+    workload: Workload, layer: int, tokens: int,
+    kernel: Callable[..., Any] = KernelProfile,
+) -> list[Any]:
     """Router, routed experts and shared expert of one MoE layer.
 
     Routed-expert weight traffic covers only the experts the batch
@@ -200,7 +218,7 @@ def _moe_kernels(
     routed_tokens = tokens * moe.experts_per_token
 
     kernels = [
-        KernelProfile(
+        kernel(
             name="router",
             kind=KernelKind.LINEAR,
             flops=2.0 * tokens * h * moe.num_experts,
@@ -209,7 +227,7 @@ def _moe_kernels(
             collective_bytes=tokens * h * actb,
             layer=layer,
         ),
-        KernelProfile(
+        kernel(
             name="moe_experts",
             kind=KernelKind.MOE,
             flops=2.0 * routed_tokens * 3 * h * fe,
@@ -219,7 +237,7 @@ def _moe_kernels(
             collective_bytes=2.0 * routed_tokens * h * actb,
             layer=layer,
         ),
-        KernelProfile(
+        kernel(
             name="shared_expert",
             kind=KernelKind.LINEAR,
             flops=2.0 * tokens * 3 * h * fs,
@@ -272,20 +290,23 @@ def layer_step_profiles(workload: Workload, tokens: int) -> list[list[KernelProf
     tokens, computing each distinct (attention-span, MoE) layer
     signature once.  Layers sharing a signature return the *same* list
     (labeled with the first such layer) -- value-identical, ~num_layers
-    times cheaper to build for uniform-attention models."""
+    times cheaper to build for uniform-attention models.  The model's
+    :attr:`~repro.models.config.ModelConfig.layer_classes` table names
+    the signatures; local and global classes merge while the context
+    fits the local window."""
     model = workload.model
     attn = model.attention
     seq_len = workload.seq_len
-    cache: dict[tuple[int, bool], list[KernelProfile]] = {}
-    profiles: list[list[KernelProfile]] = []
-    for layer in range(model.num_layers):
-        signature = (attn.attention_span(layer, seq_len), model.is_moe_layer(layer))
-        kernels = cache.get(signature)
+    classes, order = model.layer_classes
+    by_signature: dict[tuple[int, bool], list[KernelProfile]] = {}
+    class_lists: list[list[KernelProfile]] = []
+    for _, is_moe, layer in classes:
+        signature = (attn.attention_span(layer, seq_len), is_moe)
+        kernels = by_signature.get(signature)
         if kernels is None:
-            kernels = _layer_kernels(workload, layer, tokens)
-            cache[signature] = kernels
-        profiles.append(kernels)
-    return profiles
+            kernels = by_signature[signature] = _layer_kernels(workload, layer, tokens)
+        class_lists.append(kernels)
+    return [class_lists[k] for k in order]
 
 
 def decode_step_layer_values(workload: Workload) -> list[list[KernelProfile]]:
@@ -348,23 +369,28 @@ def step_totals(kernels: list[KernelProfile]) -> dict[str, float]:
 def chunked_prefill_flops(workload: Workload, chunk_tokens: int = 2048) -> float:
     """Total FLOPs of prefilling the workload's prompt in ~``chunk_tokens``
     slices (the chunking every prefill cost model charges, so GPU- and
-    RPU-role prefill comparisons share one aggregation)."""
+    RPU-role prefill comparisons share one aggregation).
+
+    The sum is the flat per-kernel sum over :func:`prefill_step_values`,
+    in layer order, bit for bit.  Layers of one
+    :attr:`~repro.models.config.ModelConfig.layer_classes` class have
+    identical kernel FLOPs, so each class's FLOPs row is built once
+    (:func:`_flops_only`, no kernel objects) and each layer, in layer
+    order, adds its class's row kernel by kernel: the same float
+    sequence as the flat sum."""
     prompt = workload.prefill_len
     if prompt == 0:
         return 0.0
     num_chunks = max(1, round(prompt / chunk_tokens))
     tokens = workload.batch_size * (prompt // num_chunks)
-    # Flat per-kernel accumulation in layer order; identical layer lists
-    # contribute identical flops rows, so reading each distinct list's
-    # flops once keeps the float sequence of the flat sum.
-    flops_rows: dict[int, tuple[float, ...]] = {}
+    classes, order = workload.model.layer_classes
+    rows = [
+        _layer_kernels(workload, layer, tokens, kernel=_flops_only)
+        for _, _, layer in classes
+    ]
     total = 0.0
-    for kernels in layer_step_profiles(workload, tokens):
-        row = flops_rows.get(id(kernels))
-        if row is None:
-            row = tuple(k.flops for k in kernels)
-            flops_rows[id(kernels)] = row
-        for flops in row:
+    for k in order:
+        for flops in rows[k]:
             total += flops
     return total * num_chunks
 

@@ -37,7 +37,12 @@ def kv_cache_bytes(
         raise ValueError("seq_len and batch_size must be non-negative")
     attn = model.attention
     per_layer_token = 2 * attn.kv_dim * kv_dtype.nbytes
+    # One span per layer class, added per layer in layer order.
+    classes, order = model.layer_classes
+    per_class = [
+        attn.attention_span(layer, seq_len) * per_layer_token for _, _, layer in classes
+    ]
     total = 0.0
-    for layer in range(model.num_layers):
-        total += attn.attention_span(layer, seq_len) * per_layer_token
+    for k in order:
+        total += per_class[k]
     return batch_size * total

@@ -1460,7 +1460,13 @@ class _QuietChain:
     (:meth:`ClusterSim._quiet_chain`), walked by :meth:`ClusterSim._walk`
     for the stepping pod and for the other pods alike.  Boundary ``end``
     is the *trigger*: a sequence finishes there, or a KV block growth
-    would reclaim or preempt."""
+    would reclaim or preempt.
+
+    Between the boundaries where something changes -- a block growth
+    (the ``gheap`` head), a cost refresh (the batch mean reaching
+    ``cost_until``) or the trigger -- every boundary costs the same
+    ``(step_s, step_j)`` at the same ``occupancy``: a *stretch*, which
+    the walk runs as four accumulations per boundary."""
 
     __slots__ = (
         "t", "steps", "end", "batch", "quotient", "mean", "tie",
@@ -2563,7 +2569,18 @@ class ClusterSim:
         is below ``limit``; True once it has reached its trigger
         boundary (``chain.t`` is then the exact trigger time).  A loud
         growth -- one that misses the free pool, so ``advance`` would
-        reclaim or preempt -- makes its boundary the trigger."""
+        reclaim or preempt -- makes its boundary the trigger.
+
+        The outer loop takes one boundary at a time with everything a
+        boundary can do: growths, a cost refresh, the occupancy update.
+        After each, the inner loop runs the stretch of boundaries up to
+        the next growth, the trigger or the next refresh, whichever
+        comes first.  They share one cost and one occupancy, so each
+        adds the pre-multiplied ``occupancy * step_s`` to
+        ``kv_occupancy_s`` and ``step_s``/``step_j`` to ``busy_s``,
+        ``energy_j`` and ``t``; the batch mean advances by the count
+        walked afterwards.  Every float operation, and its order, is
+        the one-boundary-at-a-time walk's, so digests are unchanged."""
         (t, steps, end, quotient, mean, cost, cost_until, v, occupancy,
          busy_s, energy_j, kv_occupancy_s) = (
             chain.t, chain.steps, chain.end, chain.quotient, chain.mean,
@@ -2613,6 +2630,34 @@ class ClusterSim:
                 mean = quotient + (quotient & 1)
             else:
                 mean += 1
+            # The stretch: boundaries before the next growth, the
+            # trigger and the next cost refresh (the first boundary
+            # whose mean reaches ``cost_until``; a tie mean is
+            # ``quotient`` rounded up to even).
+            stop = next_growth if next_growth < end else end
+            if tie:
+                refresh = steps + ((cost_until - 1) & ~1) - quotient + 1
+            else:
+                refresh = steps + cost_until - mean
+            if refresh < stop:
+                stop = refresh
+            if steps < stop and t < limit:
+                metered = occupancy * step_s
+                walked = stop
+                for boundary in range(steps, stop):
+                    if t >= limit:
+                        walked = boundary
+                        break
+                    kv_occupancy_s += metered
+                    busy_s += step_s
+                    energy_j += step_j
+                    t += step_s
+                if tie:
+                    quotient += walked - steps
+                    mean = quotient + (quotient & 1)
+                else:
+                    mean += walked - steps
+                steps = walked
         (chain.t, chain.steps, chain.end, chain.quotient, chain.mean,
          chain.cost, chain.cost_until, chain.v, chain.occupancy,
          chain.busy_s, chain.energy_j, chain.kv_occupancy_s) = (

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.models.config import AttentionConfig, MoeConfig
+from repro.models.config import AttentionConfig, LayerClass, MoeConfig
 from repro.models.llama3 import LLAMA3_8B, LLAMA3_70B, LLAMA3_405B
 from repro.models.llama4 import LLAMA4_MAVERICK, LLAMA4_SCOUT
 from repro.models.registry import MODELS, get_model
@@ -61,6 +61,31 @@ class TestGqa:
     def test_llama3_all_global(self):
         attn = LLAMA3_70B.attention
         assert all(attn.attention_span(i, 50000) == 50000 for i in range(10))
+
+
+class TestLayerClasses:
+    def test_dense_model_has_one_class(self):
+        classes, order = LLAMA3_70B.layer_classes
+        assert classes == (LayerClass(is_global=True, is_moe=False, first_layer=0),)
+        assert order == (0,) * LLAMA3_70B.num_layers
+
+    def test_maverick_interleaves_three_classes(self):
+        classes, order = LLAMA4_MAVERICK.layer_classes
+        assert classes == (
+            LayerClass(False, False, 0), LayerClass(False, True, 1), LayerClass(True, True, 3)
+        )
+        assert order[:8] == (0, 1, 0, 2, 0, 1, 0, 2)
+
+    @pytest.mark.parametrize("model", list(MODELS.values()), ids=list(MODELS))
+    def test_order_matches_per_layer_signatures(self, model):
+        classes, order = model.layer_classes
+        assert len(order) == model.num_layers
+        for layer, k in enumerate(order):
+            assert classes[k][:2] == (
+                model.attention.is_global_layer(layer), model.is_moe_layer(layer)
+            )
+            assert classes[k].first_layer <= layer
+        assert model.layer_classes is model.layer_classes  # cached
 
 
 class TestMoe:

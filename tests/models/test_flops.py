@@ -1,13 +1,20 @@
 """Kernel profiles: arithmetic intensity shapes, KV sizing, consistency."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.models.dtypes import DType
+from repro.models import MODELS
 from repro.models.flops import (
     KernelKind,
+    chunked_prefill_flops,
     decode_step_profile,
+    decode_step_values,
+    layer_step_profiles,
     prefill_step_profile,
+    prefill_step_values,
     step_arithmetic_intensity,
     step_totals,
 )
@@ -106,6 +113,59 @@ class TestProfiles:
             prefill_step_profile(Workload(LLAMA3_8B), chunk_tokens=0)
 
 
+def _flat_prefill_flops(workload, chunk_tokens):
+    """The flat per-kernel FLOPs sum over the prefill step kernels."""
+    prompt = workload.prefill_len
+    if prompt == 0:
+        return 0.0
+    num_chunks = max(1, round(prompt / chunk_tokens))
+    total = 0.0
+    for kernel in prefill_step_values(workload, prompt // num_chunks):
+        total += kernel.flops
+    return total * num_chunks
+
+
+class TestValueSharing:
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_chunked_prefill_flops_bit_identical(self, name):
+        """Class FLOPs rows give the flat sum bit for bit: batch 1 and 3,
+        prompts at and around chunk multiples, and contexts on both
+        sides of Llama4's local window (8192)."""
+        for batch in (1, 3):
+            for chunk in (512, 2048):
+                for prompt in (0, 1, 100, 2047, 2048, 2049, 4095, 4096, 4097, 6144):
+                    for decode in (1, 4000, 8192):
+                        workload = Workload(
+                            MODELS[name], batch_size=batch,
+                            seq_len=prompt + decode, decode_len=decode,
+                        )
+                        assert chunked_prefill_flops(workload, chunk) == (
+                            _flat_prefill_flops(workload, chunk)
+                        ), workload
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("seq_len", [100, 8192, 8193, 20000])
+    def test_shared_layer_lists_match_labeled_profile(self, name, seq_len):
+        """Shared per-signature lists equal the labeled profile up to the
+        ``layer`` label; one list per distinct (span, MoE) signature."""
+        workload = Workload(MODELS[name], batch_size=2, seq_len=seq_len)
+        strip = lambda kernels: [dataclasses.replace(k, layer=None) for k in kernels]
+        assert strip(decode_step_values(workload)) == strip(decode_step_profile(workload))
+        assert strip(prefill_step_values(workload, 64)) == strip(
+            prefill_step_profile(workload, 64)
+        )
+        model = workload.model
+        lists = layer_step_profiles(workload, 2)
+        signatures = [
+            (model.attention.attention_span(layer, seq_len), model.is_moe_layer(layer))
+            for layer in range(model.num_layers)
+        ]
+        for layer, kernels in enumerate(lists):
+            first = signatures.index(signatures[layer])
+            assert kernels is lists[first]
+            assert {k.layer for k in kernels} == {first}
+
+
 class TestKvCache:
     def test_405b_kv_per_token(self):
         """126 layers x 2 x 1 KiB at FP8 = 258 KB/token."""
@@ -128,6 +188,18 @@ class TestKvCache:
     def test_negative_seq_rejected(self):
         with pytest.raises(ValueError):
             kv_cache_bytes(LLAMA3_8B, -1, 1, DType.FP8)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_class_spans_match_per_layer_sum(self, name):
+        """Per-class spans give the per-layer float sum bit for bit."""
+        model = MODELS[name]
+        for seq_len in (0, 77, 8191, 8192, 8193, 131072):
+            for dtype in DType:
+                per_layer_token = 2 * model.attention.kv_dim * dtype.nbytes
+                total = 0.0
+                for layer in range(model.num_layers):
+                    total += model.attention.attention_span(layer, seq_len) * per_layer_token
+                assert kv_cache_bytes(model, seq_len, 3, dtype) == 3 * total
 
 
 class TestWorkload:
